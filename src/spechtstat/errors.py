@@ -6,7 +6,8 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A factorial-cost computation was requested above its configured ceiling."""
+    """A computation exceeds a limit: a factorial-cost route above its configured
+    ceiling, or a number too long for the interpreter's int/string conversion."""
 
 
 class ParseError(ValueError):

@@ -17,27 +17,43 @@ l = 0..m, each block holding a vector in the format above.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .algebra import ModuleVector
 from .combinatorics import format_subset, parse_subset
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .hoeffding import HoeffdingDecomposition
 
 _NumberedLines = list[tuple[int, str]]
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise ResourceLimitError(
+            f"a rational of {q.numerator.bit_length()}/{q.denominator.bit_length()} bits exceeds "
+            f"the interpreter's limit of {sys.get_int_max_str_digits()} digits for "
+            "int-to-string conversion"
+        ) from None
 
 
 def parse_rational(text: str, lineno: int | None = None) -> Fraction:
+    text = text.strip()
+    where = f"line {lineno}: " if lineno is not None else ""
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        where = f"line {lineno}: " if lineno is not None else ""
-        raise ParseError(f"{where}bad rational {text.strip()!r}") from None
+        limit = sys.get_int_max_str_digits()  # 0 means no limit
+        if limit and any(len(run) > limit for run in re.findall(r"[0-9_]+", text)):
+            raise ParseError(
+                f"{where}rational {text[:20]}... has more digits than the interpreter's "
+                f"limit of {limit} for string-to-int conversion"
+            ) from None
+        raise ParseError(f"{where}bad rational {text!r}") from None
 
 
 def module_vector_to_text(f: ModuleVector) -> str:

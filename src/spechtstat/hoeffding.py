@@ -10,6 +10,15 @@ module computes, in exact rational arithmetic:
   * the orthogonal projections onto each symmetric Hoeffding space, and
   * the brute-force character-projection oracle (a literal sum over all n!
     permutations) against which the fast kernel route is verified.
+
+The kernel route runs on Python ints over one common denominator D, the lcm
+of the input's denominators, with two inclusion-matrix operators between
+adjacent subset layers: the down pass (sum over the supersets with one more
+point) and the up pass (sum over the subsets with one point fewer).  Each
+pass into or out of layer b costs C(n, b) * b integer adds.  Down passes
+give the superset sums behind every conditional expectation; one Horner
+chain of up passes per order l gives the kernel, and m - l more give its
+component.  Each output entry is built as a single `Fraction` at the end.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from typing import Sequence
 
 from .algebra import ModuleVector
 from .characters import dimension, two_row_character
@@ -37,6 +47,11 @@ DEFAULT_ORACLE_CEILING = 8
 _ZERO = Fraction(0)
 
 
+def _check_shape(n: int, m: int) -> None:
+    if m < 1 or 2 * m > n:
+        raise DomainError(f"need 1 <= m <= n/2, got n={n}, m={m}")
+
+
 class CoefficientTable:
     """The rational coefficients that turn centered conditional expectations
     into completely degenerate kernels, for statistics of m draws from [1..n].
@@ -49,8 +64,7 @@ class CoefficientTable:
     __slots__ = ("n", "m", "_ratio", "_weight")
 
     def __init__(self, n: int, m: int):
-        if m < 1 or 2 * m > n:
-            raise DomainError(f"need 1 <= m <= n/2, got n={n}, m={m}")
+        _check_shape(n, m)
         self.n = n
         self.m = m
         ratio: dict[tuple[int, int], Fraction] = {}
@@ -114,50 +128,118 @@ def conditional_expectation(h: ModuleVector, assigned: Subset) -> Fraction:
     return Fraction(total, comb(n - a, m - a))
 
 
-def _kernel_values(
-    h: ModuleVector,
-    l: int,
-    table: CoefficientTable,
-    mean: Fraction,
-    cond_cache: dict[Subset, Fraction],
-) -> list[Fraction]:
-    n = h.n
-    scale = table.ratio(h.l, l)
-    out = []
-    for points in enumerate_subsets(n, l):
-        acc = _ZERO
-        for a in range(1, l + 1):
-            w = table.weight(l, a)
-            block = _ZERO
-            for part in itertools.combinations(points, a):
-                cond = cond_cache.get(part)
-                if cond is None:
-                    cond = conditional_expectation(h, part)
-                    cond_cache[part] = cond
-                block += cond - mean
-            acc += w * block
-        out.append(scale * acc)
+def _face_table(n: int, b: int) -> list[list[int]]:
+    """For each b-subset B in canonical order, the positions of its b faces B minus one point."""
+    idx = subset_index(n, b - 1)
+    return [
+        list(map(idx.__getitem__, itertools.combinations(B, b - 1)))
+        for B in enumerate_subsets(n, b)
+    ]
+
+
+def _up(lower: list[int], faces: list[list[int]]) -> list[int]:
+    """The up operator: (up V)(B) = sum of V over the faces of B.  C(n,b)*b integer adds."""
+    get = lower.__getitem__
+    return [sum(map(get, fs)) for fs in faces]
+
+
+def _down(upper: list[int], faces: list[list[int]], size: int) -> list[int]:
+    """The down operator, transpose of `_up`: (down V)(A) = sum of V(A ∪ {j}) over j outside A."""
+    out = [0] * size
+    for v, fs in zip(upper, faces):
+        if v:
+            for i in fs:
+                out[i] += v
     return out
+
+
+def _integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The common denominator D of the values (lcm of their denominators) and the integers D*v."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _vector(n: int, l: int, numerators: list[int], den: int) -> ModuleVector:
+    return ModuleVector(n, l, [Fraction(x, den) for x in numerators])
+
+
+def _superset_sums(h: ModuleVector) -> tuple[int, dict[int, list[list[int]]], list[list[int]]]:
+    """Down passes: D, the face tables of layers 1..m, and S_a for a = 0..m.
+
+    S_a(A) is D times the sum of h over the m-subsets containing A, so that
+    conditional_expectation(h, A) = S_a(A) / (D * C(n-a, m-a)).  Each step
+    divides the down pass exactly by m - a, the number of ways to add a point.
+    """
+    n, m = h.n, h.l
+    den, top = _integers(h.values)
+    faces = {b: _face_table(n, b) for b in range(1, m + 1)}
+    sums = [top]
+    for a in range(m - 1, -1, -1):
+        sums.append([s // (m - a) for s in _down(sums[-1], faces[a + 1], comb(n, a))])
+    sums.reverse()
+    return den, faces, sums
+
+
+def _chain_coefficients(n: int, m: int, l: int) -> tuple[int, list[int]]:
+    """Integer Horner coefficients k(l, a) for a = 0..l, and their common scale M_l.
+
+    k(l, a) / M_l = ratio(m, l) * weight(l, a) / (C(n-a, m-a) * (l-a)!), where
+    weight(l, 0) = -sum over a >= 1 of C(l, a) * weight(l, a) subtracts the mean.
+    """
+    table = coefficient_table(n, m)
+    weights = [table.weight(l, a) for a in range(1, l + 1)]
+    weights.insert(0, -sum(comb(l, a) * w for a, w in enumerate(weights, start=1)))
+    scale = table.ratio(m, l)
+    return _integers(
+        [scale * w / (comb(n - a, m - a) * factorial(l - a)) for a, w in enumerate(weights)]
+    )
+
+
+def _kernel_numerators(
+    n: int, m: int, l: int, faces: dict[int, list[list[int]]], sums: list[list[int]]
+) -> tuple[list[int], int]:
+    """M_l * D times the order-l kernel, and M_l.
+
+    Horner chain from V_0 = k(l,0) * S_0: V_{a+1} = up(V_a) + k(l,a+1) * S_{a+1}.
+    """
+    mult, coeffs = _chain_coefficients(n, m, l)
+    v = [coeffs[0] * sums[0][0]]
+    for a in range(1, l + 1):
+        c = coeffs[a]
+        v = [x + c * s for x, s in zip(_up(v, faces[a]), sums[a])]
+    return v, mult
+
+
+def _lift_numerators(
+    v: list[int], faces: dict[int, list[list[int]]], l: int, m: int
+) -> list[int]:
+    """(m-l)! times the U-statistic lift of layer-l integers, by m - l up passes."""
+    for b in range(l + 1, m + 1):
+        v = _up(v, faces[b])
+    return v
 
 
 def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
     """The order-l completely degenerate kernel of h, on the l-subsets of [1..n].
 
     At each l-subset: ratio(m, l) times the weighted sum, over nonempty
-    sub-assignments of the l points, of centered conditional expectations of h.
+    sub-assignments of the l points, of centered conditional expectations of h;
+    computed by the down passes and one Horner chain of up passes.
     """
-    m = h.l
+    n, m = h.n, h.l
     if l < 1 or l > m:
         raise DomainError(f"kernel order l={l} outside [1..{m}]")
-    table = coefficient_table(h.n, m)
-    return ModuleVector(h.n, l, _kernel_values(h, l, table, h.mean(), {}))
+    _check_shape(n, m)
+    den, faces, sums = _superset_sums(h)
+    v, mult = _kernel_numerators(n, m, l, faces, sums)
+    return _vector(n, l, v, mult * den)
 
 
 def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
     """Lift an order-l kernel to m draws: f(K) = sum of phi over l-subsets of K.
 
-    For phi = indicator(J) the lift is the containment indicator
-    K -> 1 if J ⊆ K else 0.
+    m - l up passes on integer numerators, divided by (m - l)! at the end.  For
+    phi = indicator(J) the lift is the containment indicator K -> 1 if J ⊆ K else 0.
     """
     n, l = phi.n, phi.l
     if l > m:
@@ -166,12 +248,9 @@ def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
         raise DomainError(f"cannot draw m={m} points from [1..{n}]")
     if l == m:
         return phi
-    idx = subset_index(n, l)
-    vals = phi.values
-    out = []
-    for K in enumerate_subsets(n, m):
-        out.append(sum(vals[idx[J]] for J in itertools.combinations(K, l)))
-    return ModuleVector(n, m, out)
+    den, v = _integers(phi.values)
+    faces = {b: _face_table(n, b) for b in range(l + 1, m + 1)}
+    return _vector(n, m, _lift_numerators(v, faces, l, m), den * factorial(m - l))
 
 
 def project(h: ModuleVector, l: int) -> ModuleVector:
@@ -180,34 +259,28 @@ def project(h: ModuleVector, l: int) -> ModuleVector:
     l = 0 gives the constant mean vector; l >= 1 is the U-statistic lift of the
     order-l kernel.  Summing over l = 0..m reconstructs h exactly.
     """
-    m = h.l
+    n, m = h.n, h.l
     if l < 0 or l > m:
         raise DomainError(f"projection order l={l} outside [0..{m}]")
     if l == 0:
-        return ModuleVector.constant(h.n, m, h.mean())
-    return u_statistic_lift(hoeffding_kernel(h, l), m)
+        return ModuleVector.constant(n, m, h.mean())
+    _check_shape(n, m)
+    den, faces, sums = _superset_sums(h)
+    v, mult = _kernel_numerators(n, m, l, faces, sums)
+    return _vector(n, m, _lift_numerators(v, faces, l, m), mult * den * factorial(m - l))
 
 
 def is_completely_degenerate(phi: ModuleVector) -> bool:
     """True iff every conditional expectation of phi given l-1 points vanishes.
 
-    Concretely: for every (l-1)-subset A, the sum of phi(A ∪ {j}) over
-    j outside A is exactly zero.
+    Concretely: one down pass, the sum of phi(A ∪ {j}) over j outside A for
+    every (l-1)-subset A, is zero everywhere.
     """
     n, l = phi.n, phi.l
     if l < 1:
         raise DomainError("degeneracy is defined for kernels of order >= 1")
-    idx = subset_index(n, l)
-    vals = phi.values
-    for A in enumerate_subsets(n, l - 1):
-        taken = set(A)
-        total = _ZERO
-        for j in range(1, n + 1):
-            if j not in taken:
-                total += vals[idx[tuple(sorted(A + (j,)))]]
-        if total != 0:
-            return False
-    return True
+    _, v = _integers(phi.values)
+    return not any(_down(v, _face_table(n, l), comb(n, l - 1)))
 
 
 @dataclass(frozen=True)
@@ -233,23 +306,27 @@ class HoeffdingDecomposition:
 
 
 def decompose(h: ModuleVector) -> HoeffdingDecomposition:
-    """Compute every kernel and component of h in one pass.
+    """Compute every kernel and component of h from one set of down passes.
 
-    Shares the conditional-expectation cache across orders, so this is much
-    cheaper than m separate `project` calls.
+    The superset sums S_0..S_m are computed once on integers over the common
+    denominator D; each order l then costs one Horner chain of l up passes for
+    its kernel and m - l more for its component, C(n, b) * b integer adds per
+    pass into layer b.  Each output entry is a single `Fraction`.
     """
     n, m = h.n, h.l
-    if m < 1 or 2 * m > n:
-        raise DomainError(f"need 1 <= m <= n/2, got n={n}, m={m}")
-    table = coefficient_table(n, m)
-    mean = h.mean()
-    cache: dict[Subset, Fraction] = {}
+    _check_shape(n, m)
+    den, faces, sums = _superset_sums(h)
+    mean = Fraction(sums[0][0], den * comb(n, m))
     kernels = {}
     components = {0: ModuleVector.constant(n, m, mean)}
     for l in range(1, m + 1):
-        kernel = ModuleVector(n, l, _kernel_values(h, l, table, mean, cache))
-        kernels[l] = kernel
-        components[l] = u_statistic_lift(kernel, m)
+        v, mult = _kernel_numerators(n, m, l, faces, sums)
+        kernels[l] = _vector(n, l, v, mult * den)
+        if l == m:
+            components[l] = kernels[l]
+        else:
+            lifted = _lift_numerators(v, faces, l, m)
+            components[l] = _vector(n, m, lifted, mult * den * factorial(m - l))
     return HoeffdingDecomposition(n, m, mean, kernels, components)
 
 

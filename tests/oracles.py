@@ -3,12 +3,14 @@
 Everything here recomputes library results from first principles along a
 different route: subset scanning instead of generating polynomials, exact
 least-squares against lifted-indicator spans instead of the coefficient
-recursion, and a reversed-pivot elimination for ranks.
+recursion, a reversed-pivot elimination for ranks, and lifts and degeneracy
+tests that look every subset up by its sorted tuple instead of using the
+library's inclusion-matrix passes.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from spechtstat import (
     ModuleVector,
@@ -18,7 +20,6 @@ from spechtstat import (
     enumerate_subsets,
     indicator,
     inner_product,
-    u_statistic_lift,
 )
 
 
@@ -98,13 +99,41 @@ def lifted_indicator(n: int, points, m: int) -> ModuleVector:
     return ModuleVector(n, m, vals)
 
 
+def _numerators_by_subset(f: ModuleVector) -> tuple[int, dict]:
+    """The lcm of f's denominators, and {subset: that lcm times f(subset)} as ints."""
+    den = lcm(*(v.denominator for v in f.values))
+    subsets = combinations(range(1, f.n + 1), f.l)
+    return den, {s: int(v * den) for s, v in zip(subsets, f.values)}
+
+
+def subset_scan_lift(phi: ModuleVector, m: int) -> ModuleVector:
+    """U-statistic lift f(K) = sum of phi(J) over the l-subsets J of K, found by
+    scanning itertools.combinations(K, l) for every m-subset K."""
+    den, at = _numerators_by_subset(phi)
+    out = [
+        Fraction(sum(at[J] for J in combinations(K, phi.l)), den)
+        for K in combinations(range(1, phi.n + 1), m)
+    ]
+    return ModuleVector(phi.n, m, out)
+
+
+def degenerate_by_subset_scan(phi: ModuleVector) -> bool:
+    """True iff, for every (l-1)-subset A, phi(A + {j}) summed over j outside A is 0."""
+    n, l = phi.n, phi.l
+    _, at = _numerators_by_subset(phi)
+    for A in combinations(range(1, n + 1), l - 1):
+        if sum(at[tuple(sorted(A + (j,)))] for j in range(1, n + 1) if j not in A):
+            return False
+    return True
+
+
 def least_squares_onto_lifted_span(h: ModuleVector, l: int) -> ModuleVector:
     """Orthogonal projection of h onto the span of all lifted order-l indicators,
     via exact normal equations.  l = 0 projects onto constants."""
     n, m = h.n, h.l
     if l == 0:
         return ModuleVector.constant(n, m, h.mean())
-    basis = [u_statistic_lift(indicator(n, J), m) for J in enumerate_subsets(n, l)]
+    basis = [subset_scan_lift(indicator(n, J), m) for J in enumerate_subsets(n, l)]
     gram = [[inner_product(u, v) for v in basis] for u in basis]
     rhs = [inner_product(u, h) for u in basis]
     coeffs = solve_exact(gram, rhs)

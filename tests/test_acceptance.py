@@ -4,9 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one line per criterion.
 """
 
 import time
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+
+from oracles import degenerate_by_subset_scan, subset_scan_lift
 
 from spechtstat import (
     ResourceLimitError,
@@ -151,3 +154,26 @@ def test_criterion_8_performance():
         f"vs oracle {result.oracle_seconds:.4f} s"
     )
     _report(8, "n=12 m=6 under 60 s; kernel beats oracle at n=7", started)
+
+
+def test_criterion_9_decomposition_past_the_oracle_ceiling():
+    # Checked only with the test oracles: at n=16 the n! oracle is out of
+    # reach, but these four properties determine the decomposition uniquely.
+    started = time.perf_counter()
+    n, m = 16, 8
+    h = random_module_vector(n, m, 1608)
+    t0 = time.perf_counter()
+    dec = decompose(h)
+    kernel_elapsed = time.perf_counter() - t0
+    assert kernel_elapsed < 60.0
+
+    mean = Fraction(sum(h.values), comb(n, m))
+    assert dec.mean == mean
+    assert all(v == mean for v in dec.components[0].values)
+    columns = zip(*(dec.components[l].values for l in range(m + 1)))
+    assert all(sum(col) == v for col, v in zip(columns, h.values))
+    for l in range(1, m + 1):
+        assert degenerate_by_subset_scan(dec.kernels[l]), l
+        assert subset_scan_lift(dec.kernels[l], m) == dec.components[l], l
+    print(f"  n=16 m=8 kernel route: {kernel_elapsed:.3f} s")
+    _report(9, "n=16 m=8 sums to input, mean, degenerate kernels, lifts", started)

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import spechtstat
 from spechtstat import (
     load_decomposition,
     load_module_vector,
@@ -60,6 +67,26 @@ class TestDecompose:
         src = tmp_path / "in.mv"
         save_module_vector(random_module_vector(6, 2, 1), src)
         assert main(["decompose", "--n", "6", "--m", "3", "--input", str(src), "--out", "x"]) == 2
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="digit limit disabled")
+    def test_output_beyond_digit_limit_is_input_error(self, tmp_path):
+        # Each denominator fits the interpreter's digit limit; their lcm, the
+        # mean's denominator, does not.
+        digits = sys.get_int_max_str_digits() * 3 // 4
+        a, b = 10**digits + 1, 10**digits + 3
+        src = tmp_path / "long.mv"
+        dst = tmp_path / "long.dec"
+        src.write_text(f"n = 4\nl = 2\n1,2 = 1/{a}\n3,4 = 1/{b}\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spechtstat.cli", "decompose", "--n", "4", "--m", "2",
+             "--input", str(src), "--out", str(dst)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "digits" in proc.stderr
+        assert not dst.exists()
 
     def test_malformed_file_reports_line(self, tmp_path, capsys):
         src = tmp_path / "bad.mv"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from spechtstat import (
     ModuleVector,
     ParseError,
+    ResourceLimitError,
     decompose,
     decomposition_from_text,
     decomposition_to_text,
@@ -15,6 +17,10 @@ from spechtstat import (
     random_module_vector,
     save_module_vector,
 )
+from spechtstat.fileformats import format_rational, parse_rational
+
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/string digit limit disabled")
 
 
 class TestModuleVectorFormat:
@@ -103,3 +109,28 @@ class TestDecompositionFormat:
         with pytest.raises(ParseError) as exc:
             decomposition_from_text("n = 4\nm = 2\nmean = 0\nextra = 1\n[kernel 1]\nn = 4\nl = 1\n")
         assert "line 4" in str(exc.value)
+
+
+@needs_digit_limit
+class TestDigitLimit:
+    def test_format_beyond_limit_is_resource_error(self):
+        for q in (Fraction(10**DIGIT_LIMIT), Fraction(1, 10**DIGIT_LIMIT + 1)):
+            with pytest.raises(ResourceLimitError) as exc:
+                format_rational(q)
+            assert f"limit of {DIGIT_LIMIT} digits" in str(exc.value)
+
+    def test_format_at_limit_round_trips(self):
+        q = Fraction(-(10**DIGIT_LIMIT - 1), 10 ** (DIGIT_LIMIT - 1) + 1)
+        assert parse_rational(format_rational(q)) == q
+
+    def test_parse_beyond_limit_is_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse_rational("1" * (DIGIT_LIMIT + 700) + "/7", lineno=5)
+        assert "line 5" in str(exc.value)
+        assert f"limit of {DIGIT_LIMIT}" in str(exc.value)
+
+    def test_long_denominator_in_vector_file(self):
+        text = "n = 4\nl = 2\n1,2 = 3/" + "9" * (DIGIT_LIMIT + 1) + "\n"
+        with pytest.raises(ParseError) as exc:
+            module_vector_from_text(text)
+        assert "line 3" in str(exc.value) and f"limit of {DIGIT_LIMIT}" in str(exc.value)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_isotypic_projection,
+    degenerate_by_subset_scan,
     hoeffding_projection_by_least_squares,
     lifted_indicator,
+    subset_scan_lift,
 )
 from spechtstat import (
     DomainError,
@@ -31,6 +33,21 @@ from spechtstat import (
     two_row_character,
     u_statistic_lift,
 )
+
+
+# Inputs at the edges of the common denominator D of the integer passes.
+_PRIMES_NEAR_1E6 = (
+    999983, 999979, 999961, 999959, 999953, 999931, 999917, 999907, 999883, 999863,
+    999853, 999809, 999773, 999769, 999763, 999749, 999727, 999721, 999683, 999671,
+)
+EDGE_INPUTS = {
+    "all_zero": ModuleVector.zero(6, 3),
+    "all_integer": ModuleVector(6, 3, [(7 * k) % 11 - 5 for k in range(20)]),
+    "single_nonzero": ModuleVector.from_mapping(6, 3, {(2, 4, 6): Fraction(-5, 7)}),
+    "coprime_denominators": ModuleVector(
+        6, 3, [Fraction((-1) ** k * (k + 1), p) for k, p in enumerate(_PRIMES_NEAR_1E6)]
+    ),
+}
 
 
 class TestCoefficientTable:
@@ -196,6 +213,14 @@ class TestDegeneracy:
     def test_zero_vector(self):
         assert is_completely_degenerate(ModuleVector.zero(5, 2))
 
+    def test_rejects_perturbed_kernels(self):
+        h = EDGE_INPUTS["coprime_denominators"]
+        for l in (1, 2, 3):
+            phi = hoeffding_kernel(h, l)
+            assert is_completely_degenerate(phi)
+            bump = indicator(6, tuple(range(1, l + 1)))
+            assert not is_completely_degenerate(phi + Fraction(1, 999983) * bump)
+
     def test_indicator_is_not(self):
         assert not is_completely_degenerate(indicator(4, (1, 2)))
 
@@ -235,6 +260,36 @@ class TestDecompose:
     def test_rejects_large_m(self):
         with pytest.raises(DomainError):
             decompose(ModuleVector.zero(5, 3))
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+class TestCommonDenominatorEdges:
+    def test_views_agree_with_decompose(self, name):
+        h = EDGE_INPUTS[name]
+        dec = decompose(h)
+        assert dec.mean == Fraction(sum(h.values), len(h.values))
+        assert dec.reconstruction() == h
+        assert project(h, 0) == dec.components[0]
+        for l in range(1, 4):
+            kernel = dec.kernels[l]
+            assert hoeffding_kernel(h, l) == kernel
+            assert project(h, l) == dec.components[l]
+            assert u_statistic_lift(kernel, 3) == dec.components[l]
+            assert subset_scan_lift(kernel, 3) == dec.components[l]
+            assert is_completely_degenerate(kernel)
+            assert degenerate_by_subset_scan(kernel)
+
+    def test_matches_both_oracles(self, name):
+        h = EDGE_INPUTS[name]
+        for l in range(4):
+            want = hoeffding_projection_by_least_squares(h, l)
+            assert project(h, l) == want
+            assert character_projection_oracle(h, l) == want
+
+    def test_lift_of_edge_input(self, name):
+        h = EDGE_INPUTS[name]
+        for m in (3, 4, 5, 6):
+            assert u_statistic_lift(h, m) == subset_scan_lift(h, m)
 
 
 class TestOracle:
