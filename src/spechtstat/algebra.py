@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import (
@@ -17,6 +17,7 @@ from .combinatorics import (
     Subset,
     check_subset,
     enumerate_subsets,
+    subset_images,
     subset_index,
 )
 from .errors import DomainError
@@ -29,6 +30,12 @@ _ZERO = Fraction(0)
 
 def _as_fraction(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
+
+
+def integer_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The common denominator D of the values (lcm of their denominators) and the integers D*v."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 class ModuleVector:
@@ -148,12 +155,9 @@ def act(x: Permutation, f: ModuleVector) -> ModuleVector:
     """The action (x f)(K) = f(x^{-1} K); sends indicator(J) to indicator(x J)."""
     if x.n != f.n:
         raise DomainError(f"degree mismatch: permutation of [1..{x.n}] on vector with n={f.n}")
-    subs = enumerate_subsets(f.n, f.l)
-    idx = subset_index(f.n, f.l)
-    img = x.images
-    out = [_ZERO] * len(subs)
-    for j, J in enumerate(subs):
-        out[idx[tuple(sorted(img[a - 1] for a in J))]] = f.values[j]
+    out = [_ZERO] * len(f.values)
+    for v, k in zip(f.values, subset_images(x, f.l)):
+        out[k] = v
     return ModuleVector(f.n, f.l, out)
 
 
@@ -168,18 +172,26 @@ def inner_product(f: ModuleVector, g: ModuleVector) -> Fraction:
     return Fraction(total, comb(f.n, f.l))
 
 
-def rank_of_span(vectors: Sequence[ModuleVector]) -> int:
-    """Dimension of the linear span, by exact Gaussian elimination.
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
-    Pivot rule: scan columns in canonical subset order, picking the first row
-    with a nonzero entry; fully deterministic.
+
+def rank_of_span(vectors: Sequence[ModuleVector]) -> int:
+    """Dimension of the linear span, by exact fraction-free Gaussian elimination.
+
+    Each row is scaled to integers by the lcm of its denominators; an update
+    replaces a row by pval*row - factor*pivot_row and divides it by its gcd, so
+    every entry has the zero pattern of the rational elimination.  Pivot rule:
+    scan columns in canonical subset order, picking the first row with a
+    nonzero entry; fully deterministic.
     """
     if not vectors:
         return 0
     first = vectors[0]
     for v in vectors[1:]:
         first._check_shape(v)
-    rows = [list(v.values) for v in vectors]
+    rows = [_primitive(integer_numerators(v.values)[1]) for v in vectors]
     ncols = len(rows[0])
     pivot = 0
     for col in range(ncols):
@@ -197,11 +209,7 @@ def rank_of_span(vectors: Sequence[ModuleVector]) -> int:
             factor = rows[r][col]
             if factor == 0:
                 continue
-            ratio = factor / pval
-            row = rows[r]
-            for c in range(col, ncols):
-                if prow[c]:
-                    row[c] -= ratio * prow[c]
+            rows[r] = _primitive([pval * a - factor * b for a, b in zip(rows[r], prow)])
         pivot += 1
         if pivot == len(rows):
             break

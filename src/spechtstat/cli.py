@@ -122,7 +122,6 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         trials=args.trials,
         brute_force_ceiling=args.ceiling,
-        report_path=str(args.report) if args.report else None,
     )
     reports = run_suites(config, args.suite)
     for report in reports:

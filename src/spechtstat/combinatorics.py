@@ -41,6 +41,24 @@ def subset_index(n: int, l: int) -> dict[Subset, int]:
     return {s: i for i, s in enumerate(enumerate_subsets(n, l))}
 
 
+@lru_cache(maxsize=None)
+def _mask_index(n: int, l: int) -> dict[int, int]:
+    # Position of each l-subset in the canonical order, keyed by its bitmask:
+    # the sum of 1 << (a-1) over its points a.
+    return {sum(1 << (a - 1) for a in s): i for i, s in enumerate(enumerate_subsets(n, l))}
+
+
+def subset_images(x: Permutation, l: int) -> list[int]:
+    """Canonical position of x(S) for every l-subset S, listed in canonical order.
+
+    Each image is the sum of the point bits 1 << (x(a)-1) over a in S, found by
+    `itertools.combinations` over the image bits, and one int-keyed lookup.
+    """
+    bits = [1 << (b - 1) for b in x.images]
+    position = _mask_index(len(bits), l).__getitem__
+    return list(map(position, map(sum, itertools.combinations(bits, l))))
+
+
 def check_subset(n: int, elements: Iterable[int]) -> Subset:
     """Validate and canonicalize a subset of [1..n] (sorted, distinct, in range)."""
     elems = tuple(sorted(elements))

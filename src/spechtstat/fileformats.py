@@ -7,8 +7,9 @@ Vector format (one record per nonzero subset, zeros omitted):
     1,2 = 1
     5,6 = -7/3
 
-Rationals are written as "p" or "p/q"; blank lines and '#' comments are
-ignored.  The empty subset (l = 0) is written as "-".
+Rationals are written as "p" or "p/q" (decimal digits, optional sign on p);
+no other form is accepted.  Blank lines and '#' comments are ignored.  The
+empty subset (l = 0) is written as "-".
 
 Decomposition format: a preamble with n, m and the mean, then one
 "[kernel l]" block per order l = 1..m and one "[component l]" block per
@@ -41,19 +42,31 @@ def format_rational(q: Fraction) -> str:
         ) from None
 
 
+#: The only accepted rational forms: "p" or "p/q", decimal digits, optional sign on p.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str, lineno: int | None = None) -> Fraction:
+    """Parse "p" or "p/q" (optional sign, decimal digits only) into a `Fraction`.
+
+    Anything else, including decimal points and exponent forms such as
+    "1e999999999", raises `ParseError` before any number is built.
+    """
     text = text.strip()
     where = f"line {lineno}: " if lineno is not None else ""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ParseError(f"{where}bad rational {text!r}; expected p or p/q")
+    num, den = match.groups()
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        limit = sys.get_int_max_str_digits()  # 0 means no limit
-        if limit and any(len(run) > limit for run in re.findall(r"[0-9_]+", text)):
-            raise ParseError(
-                f"{where}rational {text[:20]}... has more digits than the interpreter's "
-                f"limit of {limit} for string-to-int conversion"
-            ) from None
-        raise ParseError(f"{where}bad rational {text!r}") from None
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    except ZeroDivisionError:
+        raise ParseError(f"{where}bad rational {text!r}; zero denominator") from None
+    except ValueError:  # int() refuses digit runs past the interpreter's limit
+        raise ParseError(
+            f"{where}rational {text[:20]}... has more digits than the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} for string-to-int conversion"
+        ) from None
 
 
 def module_vector_to_text(f: ModuleVector) -> str:

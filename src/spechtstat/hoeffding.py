@@ -24,19 +24,22 @@ component.  Each output entry is built as a single `Fraction` at the end.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from typing import Sequence
+from math import comb, factorial
+from operator import mul
 
-from .algebra import ModuleVector
+from .algebra import ModuleVector, integer_numerators
 from .characters import dimension, two_row_character
 from .combinatorics import (
+    CycleType,
     Subset,
     check_subset,
     enumerate_permutations,
     enumerate_subsets,
+    subset_images,
     subset_index,
 )
 from .errors import DomainError, ResourceLimitError
@@ -153,12 +156,6 @@ def _down(upper: list[int], faces: list[list[int]], size: int) -> list[int]:
     return out
 
 
-def _integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The common denominator D of the values (lcm of their denominators) and the integers D*v."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
 def _vector(n: int, l: int, numerators: list[int], den: int) -> ModuleVector:
     return ModuleVector(n, l, [Fraction(x, den) for x in numerators])
 
@@ -171,7 +168,7 @@ def _superset_sums(h: ModuleVector) -> tuple[int, dict[int, list[list[int]]], li
     divides the down pass exactly by m - a, the number of ways to add a point.
     """
     n, m = h.n, h.l
-    den, top = _integers(h.values)
+    den, top = integer_numerators(h.values)
     faces = {b: _face_table(n, b) for b in range(1, m + 1)}
     sums = [top]
     for a in range(m - 1, -1, -1):
@@ -190,7 +187,7 @@ def _chain_coefficients(n: int, m: int, l: int) -> tuple[int, list[int]]:
     weights = [table.weight(l, a) for a in range(1, l + 1)]
     weights.insert(0, -sum(comb(l, a) * w for a, w in enumerate(weights, start=1)))
     scale = table.ratio(m, l)
-    return _integers(
+    return integer_numerators(
         [scale * w / (comb(n - a, m - a) * factorial(l - a)) for a, w in enumerate(weights)]
     )
 
@@ -248,7 +245,7 @@ def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
         raise DomainError(f"cannot draw m={m} points from [1..{n}]")
     if l == m:
         return phi
-    den, v = _integers(phi.values)
+    den, v = integer_numerators(phi.values)
     faces = {b: _face_table(n, b) for b in range(l + 1, m + 1)}
     return _vector(n, m, _lift_numerators(v, faces, l, m), den * factorial(m - l))
 
@@ -279,7 +276,7 @@ def is_completely_degenerate(phi: ModuleVector) -> bool:
     n, l = phi.n, phi.l
     if l < 1:
         raise DomainError("degeneracy is defined for kernels of order >= 1")
-    _, v = _integers(phi.values)
+    _, v = integer_numerators(phi.values)
     return not any(_down(v, _face_table(n, l), comb(n, l - 1)))
 
 
@@ -331,28 +328,35 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
 
 
 @lru_cache(maxsize=None)
+def _orbit_counts(n: int, m: int) -> dict[CycleType, Counter]:
+    """For each cycle type ct, a Counter of the position pairs (K, J) with the
+    number of permutations of type ct that map the m-subset J onto K.
+
+    One literal walk over all n! permutations per (n, m), shared by every order l.
+    """
+    counts: defaultdict[CycleType, Counter] = defaultdict(Counter)
+    positions = range(comb(n, m))
+    for x in enumerate_permutations(n, ceiling=None):
+        counts[x.cycle_type()].update(zip(subset_images(x, m), positions))
+    return dict(counts)
+
+
+@lru_cache(maxsize=None)
 def _projection_weights(n: int, m: int, l: int) -> tuple[tuple[int, ...], ...]:
     """Integer matrix W with W[K][J] = sum of chi_{(n-l,l)}(x) over all x mapping J to K.
 
-    Assembled by a literal loop over all n! permutations; the caller applies it
-    to a vector and scales by dimension/n!.
+    Assembled as the sum over cycle types ct of chi_{(n-l,l)}(ct) times the
+    permutation counts of `_orbit_counts`, so that the n! walk happens once per
+    (n, m), grouped by cycle type, whatever the number of orders l asked for.
+    The caller applies W to a vector and scales by dimension/n!.
     """
-    subs = enumerate_subsets(n, m)
-    idx = subset_index(n, m)
-    weights = [[0] * len(subs) for _ in subs]
-    chi_by_type: dict[tuple[int, ...], int] = {}
-    for x in enumerate_permutations(n, ceiling=None):
-        ct = x.cycle_type()
-        chi = chi_by_type.get(ct)
-        if chi is None:
-            chi = two_row_character(n, l, ct)
-            chi_by_type[ct] = chi
-        if chi == 0:
-            continue
-        img = x.images
-        for j, J in enumerate(subs):
-            k = idx[tuple(sorted(img[a - 1] for a in J))]
-            weights[k][j] += chi
+    size = comb(n, m)
+    weights = [[0] * size for _ in range(size)]
+    for ct, cnt in _orbit_counts(n, m).items():
+        chi = two_row_character(n, l, ct)
+        if chi:
+            for (k, j), c in cnt.items():
+                weights[k][j] += chi * c
     return tuple(tuple(row) for row in weights)
 
 
@@ -364,7 +368,10 @@ def character_projection_oracle(
         (dimension/n!) * sum over x of chi_{(n-l,l)}(x) * f(x^{-1} K)
 
     at every m-subset K.  Factorial cost by design: this is the slow oracle the
-    kernel route is checked against.  Refuses n above `ceiling`.
+    kernel route is checked against.  The n! walk is done once per (n, m) and
+    grouped by cycle type (see `_projection_weights`); the weights are applied to
+    f's integer numerators over one common denominator, and each output entry
+    is a single `Fraction`.  Refuses n above `ceiling`.
     """
     n, m = f.n, f.l
     if l < 0 or l > m:
@@ -375,15 +382,15 @@ def character_projection_oracle(
             f"pass ceiling={n} (or None) to override"
         )
     weights = _projection_weights(n, m, l)
-    scale = Fraction(dimension(n, l), factorial(n))
-    vals = f.values
-    out = []
-    for row in weights:
-        acc = sum((w * v for w, v in zip(row, vals) if w and v), _ZERO)
-        out.append(scale * acc)
-    return ModuleVector(n, m, out)
+    den, vals = integer_numerators(f.values)
+    dim, scale = dimension(n, l), factorial(n) * den
+    return ModuleVector(n, m, [Fraction(dim * sum(map(mul, row, vals)), scale) for row in weights])
 
 
 def clear_oracle_cache() -> None:
-    """Drop memoized oracle weight matrices (used when timing the oracle honestly)."""
+    """Drop the memoized permutation counts and weight matrices.
+
+    Used when timing the oracle honestly.
+    """
+    _orbit_counts.cache_clear()
     _projection_weights.cache_clear()

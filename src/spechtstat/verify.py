@@ -10,17 +10,26 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .algebra import ModuleVector, act, indicator, inner_product, rank_of_span
+from .algebra import (
+    ModuleVector,
+    act,
+    indicator,
+    inner_product,
+    integer_numerators,
+    rank_of_span,
+)
 from .characters import dimension
 from .combinatorics import (
     Permutation,
     Tableau,
     enumerate_permutations,
     enumerate_subsets,
+    subset_images,
     subset_index,
 )
 from .errors import DomainError, ResourceLimitError
@@ -100,7 +109,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 20
     brute_force_ceiling: int = DEFAULT_ORACLE_CEILING
-    report_path: str | None = None
 
     def __post_init__(self):
         if self.m < 1 or 2 * self.m > self.n:
@@ -284,23 +292,16 @@ def _double_sum_values(f: ModuleVector, l: int) -> ModuleVector:
 
 def _fixed_point_route(f: ModuleVector) -> ModuleVector:
     # Order-1 projection via the explicit fixed-point count weighting
-    # (fix(x) - 1), summed over all n! permutations.
+    # (fix(x) - 1), summed over all n! permutations on f's integer numerators.
     n, m = f.n, f.l
-    subs = enumerate_subsets(n, m)
-    idx = subset_index(n, m)
-    vals = f.values
-    acc = [_ZERO] * len(subs)
+    den, vals = integer_numerators(f.values)
+    acc = [0] * len(vals)
     for x in enumerate_permutations(n, ceiling=None):
         w = x.fixed_points() - 1
-        if w == 0:
-            continue
-        img = x.images
-        for k, K in enumerate(subs):
-            v = vals[idx[tuple(sorted(img[a - 1] for a in K))]]
-            if v:
-                acc[k] += w * v
-    scale = Fraction(n - 1, factorial(n))
-    return ModuleVector(n, m, [scale * v for v in acc])
+        if w:
+            acc = [a + w * vals[p] for a, p in zip(acc, subset_images(x, m))]
+    scale = factorial(n) * den
+    return ModuleVector(n, m, [Fraction((n - 1) * a, scale) for a in acc])
 
 
 def verify_equivalence(config: RunConfig) -> VerificationReport:
@@ -369,37 +370,34 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
     col = _Collector()
     gen = Lcg64(config.seed)
 
+    # For each overlap r, how many permutations x send (base, k_r) to each pair
+    # of positions; base = {1..m} is position 0.  Counted once, shared by every
+    # trial.  k_m is base itself, so pairs[m] weights the squared norms.
     idx = subset_index(n, m)
-    base = tuple(range(1, m + 1))
-    overlap_sets = {r: tuple(range(1, r + 1)) + tuple(range(m + 1, 2 * m - r + 1)) for r in range(m + 1)}
+    overlap_pos = [
+        idx[tuple(range(1, r + 1)) + tuple(range(m + 1, 2 * m - r + 1))] for r in range(m + 1)
+    ]
+    pairs = [Counter() for _ in range(m + 1)]
+    for x in enumerate_permutations(n, ceiling=None):
+        img = subset_images(x, m)
+        bpos = img[0]
+        for r, k in enumerate(overlap_pos):
+            pairs[r][bpos, img[k]] += 1
+
+    def pair_sum(r: int, fv: list[int], hv: list[int]) -> int:
+        return sum(c * fv[b] * hv[k] for (b, k), c in pairs[r].items())
+
+    def numerators(h: ModuleVector) -> list[list[int]]:
+        # Integer numerators of each component over its own positive common
+        # denominator: every pair_sum is a positive multiple of the rational
+        # n!-sum, so its "== 0" and "> 0" tests are exact.
+        comps = decompose(h).components
+        return [integer_numerators(comps[l].values)[1] for l in range(m + 1)]
 
     for trial in range(config.trials):
         f0 = random_module_vector(n, m, gen.next_uint())
-        h0 = random_module_vector(n, m, gen.next_uint())
-        fc = decompose(f0).components
-        hc = decompose(h0).components
-
-        sums: dict[tuple[int, int, int], Fraction] = {
-            (j, l, r): _ZERO for j in range(m + 1) for l in range(m + 1) for r in range(m + 1)
-        }
-        same: dict[int, Fraction] = {j: _ZERO for j in range(m + 1)}
-        for x in enumerate_permutations(n, ceiling=None):
-            img = x.images
-            bpos = idx[tuple(sorted(img[a - 1] for a in base))]
-            kpos = {
-                r: idx[tuple(sorted(img[a - 1] for a in k))] for r, k in overlap_sets.items()
-            }
-            for j in range(m + 1):
-                fv = fc[j].values[bpos]
-                if fv:
-                    same[j] += fv * fc[j].values[bpos]
-                    for l in range(m + 1):
-                        if l == j:
-                            continue
-                        for r in range(m + 1):
-                            hv = hc[l].values[kpos[r]]
-                            if hv:
-                                sums[j, l, r] += fv * hv
+        fc = numerators(f0)
+        hc = numerators(random_module_vector(n, m, gen.next_uint()))
 
         for j in range(m + 1):
             for l in range(m + 1):
@@ -408,17 +406,17 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
                 for r in range(m + 1):
                     col.record(
                         f"shifted_orthogonality_j{j}_l{l}_r{r}",
-                        sums[j, l, r] == 0,
+                        pair_sum(r, fc[j], hc[l]) == 0,
                         _offending(trial, f0, f"j={j} l={l} r={r}"),
                     )
 
         # Negative control: the same-order, full-overlap sum is a squared norm,
         # so it must be strictly positive for any nonzero component.  The suite
         # asserts nothing about same-order shifted sums beyond this.
-        witness = [j for j in range(m + 1) if not fc[j].is_zero()]
+        witness = [fv for fv in fc if any(fv)]
         col.record(
             "negative_control_same_order_norm_positive",
-            bool(witness) and all(same[j] > 0 for j in witness),
+            bool(witness) and all(pair_sum(m, fv, fv) > 0 for fv in witness),
             _offending(trial, f0),
         )
 

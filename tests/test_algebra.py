@@ -167,6 +167,28 @@ class TestRank:
                 vecs.append(vecs[0] + vecs[-1])  # force dependence sometimes
             assert rank_of_span(vecs) == rank_reversed_pivots(vecs)
 
+    def test_agrees_with_reversed_pivots_on_hard_rows(self):
+        primes = (999983, 999979, 999961, 999959, 999953, 999931, 999917)
+        big = [
+            ModuleVector(
+                5, 2, [Fraction((-1) ** k * (k + i + 1), primes[(k * i + i) % 7]) for k in range(10)]
+            )
+            for i in range(4)
+        ]
+        small = [random_module_vector(5, 2, 40 + i) for i in range(3)]
+        zero = ModuleVector.zero(5, 2)
+        combo = Fraction(3, 999983) * big[0] - Fraction(5, 999979) * small[1]
+        cases = [
+            big,
+            big + [big[2], big[0]],
+            [zero, big[1], zero, zero],
+            small + big + [combo, zero, small[0]],
+            [combo, zero, big[0], small[1], big[3], big[3]],
+            [indicator(5, (1, 2)), Fraction(1, 999983) * indicator(5, (1, 2)), zero],
+        ]
+        for vecs in cases:
+            assert rank_of_span(vecs) == rank_reversed_pivots(vecs)
+
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             rank_of_span([indicator(4, (1, 2)), indicator(5, (1, 2))])

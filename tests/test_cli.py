@@ -88,6 +88,22 @@ class TestDecompose:
         assert "digits" in proc.stderr
         assert not dst.exists()
 
+    def test_exponent_form_is_input_error(self, tmp_path):
+        # Parsed as a Fraction, this 11-character value would build a ~400 MB integer.
+        src = tmp_path / "exp.mv"
+        dst = tmp_path / "exp.dec"
+        src.write_text("n = 4\nl = 2\n1,2 = 1e999999999\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spechtstat.cli", "decompose", "--n", "4", "--m", "2",
+             "--input", str(src), "--out", str(dst)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "line 3" in proc.stderr and "expected p or p/q" in proc.stderr
+        assert not dst.exists()
+
     def test_malformed_file_reports_line(self, tmp_path, capsys):
         src = tmp_path / "bad.mv"
         src.write_text("n = 4\nl = 2\n1,2 = oops\n")

@@ -73,6 +73,40 @@ class TestModuleVectorFormat:
         assert fragment in str(exc.value)
 
 
+class TestRationalForms:
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            ("7", Fraction(7)),
+            ("-7/3", Fraction(-7, 3)),
+            ("+4/6", Fraction(2, 3)),
+            (" 0 ", Fraction(0)),
+        ],
+    )
+    def test_accepts_p_and_p_over_q(self, text, want):
+        assert parse_rational(text) == want
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4000000", "1E5", "2.5", ".5", "1_000", "3/-4", "3/+4", "/3", "3/",
+         "", "-", "0x10", "inf", "nan", "1 / 2", "\u0661\u0662"],
+    )
+    def test_rejects_every_other_form(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse_rational(text, lineno=4)
+        assert "line 4" in str(exc.value) and "expected p or p/q" in str(exc.value)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_rational("1/0")
+
+    def test_exponent_form_in_files(self):
+        with pytest.raises(ParseError, match="line 3"):
+            module_vector_from_text("n = 4\nl = 2\n1,2 = 1e4000000\n")
+        with pytest.raises(ParseError, match="line 3"):
+            decomposition_from_text("n = 4\nm = 2\nmean = 1e9\n")
+
+
 class TestDecompositionFormat:
     def test_round_trip(self):
         dec = decompose(random_module_vector(6, 3, 79))

@@ -33,6 +33,8 @@ from spechtstat import (
     two_row_character,
     u_statistic_lift,
 )
+from spechtstat import hoeffding
+from spechtstat.hoeffding import clear_oracle_cache
 
 
 # Inputs at the edges of the common denominator D of the integer passes.
@@ -315,6 +317,20 @@ class TestOracle:
         for l in range(3):
             chi = lambda x, l=l: two_row_character(5, l, x)
             assert character_projection_oracle(f, l) == brute_isotypic_projection(f, l, chi)
+
+    @pytest.mark.parametrize("name", ["coprime_denominators", "all_zero"])
+    def test_integer_weights_equal_literal_average_at_n6(self, name):
+        f = EDGE_INPUTS[name]
+        for l in range(f.l + 1):
+            chi = lambda x, l=l: two_row_character(6, l, x)
+            assert character_projection_oracle(f, l) == brute_isotypic_projection(f, l, chi)
+
+    def test_clear_oracle_cache_empties_every_oracle_cache(self):
+        caches = (hoeffding._orbit_counts, hoeffding._projection_weights)
+        character_projection_oracle(random_module_vector(5, 2, 34), 1)
+        assert all(c.cache_info().currsize > 0 for c in caches)
+        clear_oracle_cache()
+        assert all(c.cache_info().currsize == 0 for c in caches)
 
     def test_ceiling(self):
         f = random_module_vector(9, 2, 31)

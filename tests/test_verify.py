@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import spechtstat
 from spechtstat import (
     DomainError,
+    HoeffdingDecomposition,
     ResourceLimitError,
     RunConfig,
     bench,
+    indicator,
     random_module_vector,
     run_suites,
     verify_decomposition,
@@ -15,7 +22,10 @@ from spechtstat import (
     verify_shift_orthogonality,
     verify_specht,
 )
+from spechtstat import verify
 from spechtstat.verify import CheckResult, Lcg64, VerificationReport
+
+GOLDEN = Path(__file__).parent / "data" / "verify_all_n7_m3_trials2_seed1.txt"
 
 
 class TestRandomVectors:
@@ -117,6 +127,54 @@ class TestSuites:
         first = [r.render() for r in run_suites(config, "all")]
         second = [r.render() for r in run_suites(config, "all")]
         assert first == second
+
+
+class TestPerturbedComponent:
+    """With one component moved off its Hoeffding space, the integer n!-sums must fail."""
+
+    @pytest.fixture(autouse=True)
+    def perturb(self, monkeypatch):
+        real = verify.decompose
+
+        def perturbed(h):
+            dec = real(h)
+            components = dict(dec.components)
+            components[1] = components[1] + Fraction(1, 3) * indicator(h.n, range(1, h.l + 1))
+            return HoeffdingDecomposition(dec.n, dec.m, dec.mean, dec.kernels, components)
+
+        monkeypatch.setattr(verify, "decompose", perturbed)
+
+    @staticmethod
+    def failed(report):
+        return {c.name for c in report.checks if not c.passed}
+
+    def test_equivalence_suite_fails(self):
+        report = verify_equivalence(RunConfig(n=6, m=2, seed=5, trials=2))
+        assert not report.ok
+        failed = self.failed(report)
+        assert {"oracle_equals_projection_l1", "order1_fixed_point_weighting"} <= failed
+        assert "oracle_equals_projection_l2" not in failed
+
+    def test_shift_suite_fails(self):
+        report = verify_shift_orthogonality(RunConfig(n=6, m=2, seed=5, trials=2))
+        assert not report.ok
+        failed = self.failed(report)
+        assert any(name.startswith("shifted_orthogonality_j1_") for name in failed)
+        assert not any("_j2_l0_" in name for name in failed)
+
+
+class TestGoldenOutput:
+    def test_verify_all_stdout_is_unchanged(self):
+        # The file holds the output of the earlier Fraction-based suites; the
+        # integer routes must reproduce every report byte for byte.
+        env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spechtstat.cli", "verify", "--suite", "all",
+             "--n", "7", "--m", "3", "--trials", "2", "--seed", "1"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == GOLDEN.read_text()
 
 
 class TestReportRendering:
