@@ -14,6 +14,15 @@ empty subset (l = 0) is written as "-".
 Decomposition format: a preamble with n, m and the mean, then one
 "[kernel l]" block per order l = 1..m and one "[component l]" block per
 l = 0..m, each block holding a vector in the format above.
+
+Values that repeat within one file are handled once per call.  The readers
+parse each distinct value text once, and a section that lists at least half
+of its subsets looks canonical keys ("1,4,7") up in a table built once per
+shape; every other spelling that `parse_subset` accepts (such as "7,1,4" or
+"01,4,7") is still accepted, through the same checks with the same messages.
+The decomposition writer formats the mean once for all of component 0 and
+reuses the text of kernel m for component m, the two blocks that repeat
+values.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -21,14 +30,18 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
+from typing import Callable
 
 from .algebra import ModuleVector
-from .combinatorics import format_subset, parse_subset
+from .combinatorics import Subset, enumerate_subsets, format_subset, parse_subset, subset_index
 from .errors import ParseError, ResourceLimitError
 from .hoeffding import HoeffdingDecomposition
 
 _NumberedLines = list[tuple[int, str]]
+
+_ZERO = Fraction(0)
 
 
 def format_rational(q: Fraction) -> str:
@@ -69,12 +82,21 @@ def parse_rational(text: str, lineno: int | None = None) -> Fraction:
         ) from None
 
 
-def module_vector_to_text(f: ModuleVector) -> str:
+def _vector_block(
+    f: ModuleVector, key_text: Callable[[int], str], rational_text: Callable[[Fraction], str]
+) -> str:
+    # The vector's lines without the final newline.  key_text gives the subset
+    # text at a canonical position; it is called only for nonzero values.
     lines = [f"n = {f.n}", f"l = {f.l}"]
-    for s, v in f.items():
-        if v != 0:
-            lines.append(f"{format_subset(s)} = {format_rational(v)}")
-    return "\n".join(lines) + "\n"
+    for i, v in enumerate(f.values):
+        if v:
+            lines.append(f"{key_text(i)} = {rational_text(v)}")
+    return "\n".join(lines)
+
+
+def module_vector_to_text(f: ModuleVector) -> str:
+    subsets = enumerate_subsets(f.n, f.l)
+    return _vector_block(f, lambda i: format_subset(subsets[i]), format_rational) + "\n"
 
 
 def _content_lines(text: str) -> _NumberedLines:
@@ -106,32 +128,55 @@ def _parse_header_int(lines: _NumberedLines, pos: int, name: str) -> int:
         raise ParseError(f"line {lineno}: bad integer {value!r} for '{name}'") from None
 
 
-def _parse_module_vector_lines(lines: _NumberedLines) -> ModuleVector:
+def _parse_module_vector_lines(
+    lines: _NumberedLines,
+    rationals: dict[str, Fraction],
+    keys: dict[tuple[int, int], dict[str, Subset]],
+) -> ModuleVector:
+    # rationals (value text -> Fraction) and keys ((n, l) -> canonical subset
+    # text -> subset) live for one parse call and are shared by its sections.
     n = _parse_header_int(lines, 0, "n")
     l = _parse_header_int(lines, 1, "l")
     if n < 1 or l < 0 or l > n:
         lineno = lines[0][0]
         raise ParseError(f"line {lineno}: invalid shape n={n}, l={l}")
-    mapping: dict[tuple[int, ...], Fraction] = {}
-    for lineno, line in lines[2:]:
+    records = lines[2:]
+    canonical = keys.get((n, l), {})
+    if not canonical and n <= 2 * len(records) and comb(n, l) <= 2 * len(records):
+        # Built only for a section that lists at least half of its subsets, so a
+        # sparse file of a huge shape allocates nothing before its records parse
+        # (n is tested first to keep comb() cheap: C(n, l) >= n for 0 < l < n).
+        subsets = enumerate_subsets(n, l)
+        canonical = keys[n, l] = dict(zip(map(format_subset, subsets), subsets))
+    mapping: dict[Subset, Fraction] = {}
+    for lineno, line in records:
         key, value = _split_assignment(lineno, line)
-        try:
-            subset = parse_subset(key)
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        if len(subset) != l or (subset and subset[-1] > n):
-            raise ParseError(f"line {lineno}: {key!r} is not an {l}-subset of [1..{n}]")
+        subset = canonical.get(key)
+        if subset is None:
+            try:
+                subset = parse_subset(key)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            if len(subset) != l or (subset and subset[-1] > n):
+                raise ParseError(f"line {lineno}: {key!r} is not an {l}-subset of [1..{n}]")
         if subset in mapping:
             raise ParseError(f"line {lineno}: duplicate record for subset {key!r}")
-        mapping[subset] = parse_rational(value, lineno)
-    return ModuleVector.from_mapping(n, l, mapping)
+        q = rationals.get(value)
+        if q is None:
+            q = rationals[value] = parse_rational(value, lineno)
+        mapping[subset] = q
+    vals = [_ZERO] * comb(n, l)
+    index = subset_index(n, l)
+    for subset, q in mapping.items():
+        vals[index[subset]] = q
+    return ModuleVector(n, l, vals)
 
 
 def module_vector_from_text(text: str) -> ModuleVector:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("line 1: empty vector file")
-    return _parse_module_vector_lines(lines)
+    return _parse_module_vector_lines(lines, {}, {})
 
 
 def save_module_vector(f: ModuleVector, path: str | Path) -> None:
@@ -143,13 +188,25 @@ def load_module_vector(path: str | Path) -> ModuleVector:
 
 
 def decomposition_to_text(dec: HoeffdingDecomposition) -> str:
-    parts = [f"n = {dec.n}", f"m = {dec.m}", f"mean = {format_rational(dec.mean)}"]
-    for l in range(1, dec.m + 1):
-        parts.append(f"[kernel {l}]")
-        parts.append(module_vector_to_text(dec.kernels[l]).rstrip("\n"))
-    for l in range(dec.m + 1):
-        parts.append(f"[component {l}]")
-        parts.append(module_vector_to_text(dec.components[l]).rstrip("\n"))
+    n, m = dec.n, dec.m
+    mean_text = format_rational(dec.mean)
+    orders = range(1, m + 1)
+    key_text = {l: list(map(format_subset, enumerate_subsets(n, l))).__getitem__ for l in orders}
+    kernels = {l: _vector_block(dec.kernels[l], key_text[l], format_rational) for l in orders}
+    parts = [f"n = {n}", f"m = {m}", f"mean = {mean_text}"]
+    for l in orders:
+        parts += [f"[kernel {l}]", kernels[l]]
+    for l in range(m + 1):
+        # Component 0 repeats the mean C(n, m) times, and component m is kernel m
+        # (its lift to order m is the identity): neither is formatted again.
+        comp = dec.components[l]
+        if l == 0 and comp.values == (dec.mean,) * len(comp.values):
+            block = _vector_block(comp, key_text[m], lambda q: mean_text)
+        elif l == m and comp == dec.kernels[m]:
+            block = kernels[m]
+        else:
+            block = _vector_block(comp, key_text[m], format_rational)
+        parts += [f"[component {l}]", block]
     return "\n".join(parts) + "\n"
 
 
@@ -176,6 +233,9 @@ def decomposition_from_text(text: str) -> HoeffdingDecomposition:
             current = body
         else:
             current.append((lineno, line))
+    # Each section's lines are dropped once it is parsed, so that the value
+    # texts kept for the whole call do not raise the peak memory of a load.
+    del lines
 
     n = _parse_header_int(preamble, 0, "n")
     m = _parse_header_int(preamble, 1, "m")
@@ -186,6 +246,7 @@ def decomposition_from_text(text: str) -> HoeffdingDecomposition:
     if key != "mean":
         raise ParseError(f"line {mean_lineno}: expected 'mean = ...', got {mean_line!r}")
     mean = parse_rational(value, mean_lineno)
+    rationals = {value: mean}
     if len(preamble) > 3:
         lineno, line = preamble[3]
         raise ParseError(f"line {lineno}: unexpected content before first section: {line!r}")
@@ -194,8 +255,10 @@ def decomposition_from_text(text: str) -> HoeffdingDecomposition:
 
     kernels: dict[int, ModuleVector] = {}
     components: dict[int, ModuleVector] = {}
+    keys: dict[tuple[int, int], dict[str, Subset]] = {}
     for kind, index, lineno, body in sections:
-        vec = _parse_module_vector_lines(body)
+        vec = _parse_module_vector_lines(body, rationals, keys)
+        body.clear()
         if vec.n != n:
             raise ParseError(f"line {lineno}: section declares n={vec.n}, preamble has n={n}")
         if kind == "kernel":

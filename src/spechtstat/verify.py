@@ -442,8 +442,8 @@ def verify_specht(config: RunConfig) -> VerificationReport:
     )
     col.record("polytabloid_four_term_example", polytabloid(t0) == expected)
 
-    for l in range(1, m + 1):
-        basis = specht_basis(n, l)
+    bases = {l: specht_basis(n, l) for l in range(1, m + 1)}
+    for l, basis in bases.items():
         rank = rank_of_span(basis)
         col.record(
             f"specht_basis_rank_l{l}",
@@ -469,7 +469,7 @@ def verify_specht(config: RunConfig) -> VerificationReport:
 
     comps_by_subset = [decompose(indicator(n, K)).components for K in enumerate_subsets(n, m)]
     for l in range(1, m + 1):
-        lifted = [lift_to_hoeffding(v, m) for v in specht_basis(n, l)]
+        lifted = [lift_to_hoeffding(v, m) for v in bases[l]]
         image = [c[l] for c in comps_by_subset]
         want = dimension(n, l)
         ranks = (rank_of_span(lifted), rank_of_span(image), rank_of_span(lifted + image))

@@ -63,6 +63,15 @@ class TestDecompose:
         assert all(dec.kernels[l].is_zero() for l in (1, 2))
         assert "0 nonzero kernels" in capsys.readouterr().out
 
+    def test_golden_output_bytes(self, tmp_path, capsys):
+        # The .dec file was written by the CLI before value texts were parsed
+        # and formatted once per call; the output must not change by a byte.
+        data = Path(__file__).parent / "data"
+        dst = tmp_path / "out.dec"
+        args = ["decompose", "--n", "14", "--m", "3", "--input", str(data / "decompose_n14_m3.mv")]
+        assert main(args + ["--out", str(dst)]) == 0
+        assert dst.read_bytes() == (data / "decompose_n14_m3.dec").read_bytes()
+
     def test_shape_flag_mismatch(self, tmp_path, capsys):
         src = tmp_path / "in.mv"
         save_module_vector(random_module_vector(6, 2, 1), src)

@@ -1,9 +1,11 @@
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from spechtstat import (
+    HoeffdingDecomposition,
     ModuleVector,
     ParseError,
     ResourceLimitError,
@@ -11,15 +13,32 @@ from spechtstat import (
     decomposition_from_text,
     decomposition_to_text,
     indicator,
+    load_decomposition,
     load_module_vector,
     module_vector_from_text,
     module_vector_to_text,
     random_module_vector,
     save_module_vector,
 )
+from spechtstat import fileformats
 from spechtstat.fileformats import format_rational, parse_rational
 
+DATA = Path(__file__).parent / "data"
 DIGIT_LIMIT = sys.get_int_max_str_digits()
+HEADER = "n = 4\nl = 2\n"
+#: Two records of a 2-subset vector of [1..4]: with one more, the section lists
+#: half of the six subsets, so canonical keys go through the per-call key table.
+DENSE = HEADER + "1,3 = 1\n2,4 = -1\n"
+
+#: A hand-written n=2, m=1 decomposition of mean 1/2, written with the
+#: unreduced 2/4; COMPONENT0 stands for the records of component 0 (line 12 on).
+SMALL_DECOMPOSITION = (
+    "n = 2\nm = 1\nmean = 2/4\n"
+    "[kernel 1]\nn = 2\nl = 1\n1 = 2/4\n2 = -2/4\n"
+    "[component 0]\nn = 2\nl = 1\nCOMPONENT0"
+    "[component 1]\nn = 2\nl = 1\n1 = 2/4\n2 = -2/4\n"
+)
+
 needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/string digit limit disabled")
 
 
@@ -64,6 +83,11 @@ class TestModuleVectorFormat:
             ("n = 4\nl = 2\n1,2,3 = 1\n", "line 3"),
             ("n = 4\nl = 2\n1,2 = 1\n1,2 = 2\n", "duplicate"),
             ("n = 4\nl = 2\n1,5 = 1\n", "line 3"),
+            # Dense sections: canonical keys hit the per-call key table first.
+            (DENSE + "1,2 = 1\n2,1 = 2\n", "line 6: duplicate record for subset '2,1'"),
+            (DENSE + "1,2 = 1\n1,5 = 1\n", "line 6: '1,5' is not an 2-subset of [1..4]"),
+            (DENSE + "1,2 = 1\n3,4,5 = 1\n", "line 6: '3,4,5' is not an 2-subset"),
+            (DENSE + "0,1 = 1\n", "line 5: bad subset text '0,1'"),
             ("n = four\nl = 2\n", "bad integer"),
         ],
     )
@@ -71,6 +95,25 @@ class TestModuleVectorFormat:
         with pytest.raises(ParseError) as exc:
             module_vector_from_text(text)
         assert fragment in str(exc.value)
+
+
+    def test_sparse_huge_shape_fails_before_any_key_table(self, monkeypatch):
+        # C(40, 20) ~ 1.4e11 subsets: a bad record must fail without listing them.
+        def refuse(n, l):
+            raise AssertionError(f"enumerated the {l}-subsets of [1..{n}]")
+
+        monkeypatch.setattr(fileformats, "enumerate_subsets", refuse)
+        with pytest.raises(ParseError, match="line 3: '1,2' is not an 20-subset"):
+            module_vector_from_text("n = 40\nl = 20\n1,2 = 1\n")
+
+
+class TestKeySpellings:
+    @pytest.mark.parametrize("key", ["1,2", "2,1", "01,2", "1 , 2", "+1,2", " 2 ,1 "])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_lands_at_canonical_position(self, key, dense):
+        f = module_vector_from_text((DENSE if dense else HEADER) + f"{key} = 5\n")
+        want = {(1, 2): 5, **({(1, 3): 1, (2, 4): -1} if dense else {})}
+        assert f == ModuleVector.from_mapping(4, 2, want)
 
 
 class TestRationalForms:
@@ -114,6 +157,19 @@ class TestDecompositionFormat:
         back = decomposition_from_text(text)
         assert back == dec
 
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_text_is_the_blocks_of_every_vector(self, swap):
+        # Swapping components 0 and m leaves neither repeat for the writer to reuse.
+        dec = decompose(random_module_vector(7, 3, 83))
+        comps = dict(dec.components)
+        if swap:
+            comps[0], comps[3] = comps[3], comps[0]
+            dec = HoeffdingDecomposition(dec.n, dec.m, dec.mean, dec.kernels, comps)
+        blocks = [f"[kernel {l}]\n" + module_vector_to_text(dec.kernels[l]) for l in (1, 2, 3)]
+        blocks += [f"[component {l}]\n" + module_vector_to_text(comps[l]) for l in (0, 1, 2, 3)]
+        want = f"n = 7\nm = 3\nmean = {format_rational(dec.mean)}\n" + "".join(blocks)
+        assert decomposition_to_text(dec) == want
+
     def test_components_resum_to_input(self):
         h = random_module_vector(6, 2, 80)
         back = decomposition_from_text(decomposition_to_text(decompose(h)))
@@ -138,6 +194,43 @@ class TestDecompositionFormat:
         with pytest.raises(ParseError) as exc:
             decomposition_from_text("n = 4\nm = 2\nmean = 0\n[thing 1]\nn = 4\nl = 1\n")
         assert "line 4" in str(exc.value)
+
+    def test_golden_file_loads_as_decomposition_of_its_input(self):
+        dec = load_decomposition(DATA / "decompose_n14_m3.dec")
+        assert dec == decompose(load_module_vector(DATA / "decompose_n14_m3.mv"))
+
+    @pytest.mark.parametrize(
+        "component0,fragment",
+        [
+            ("1 = 1/2\n2 = 1/3\n", "component 0 must be the constant mean"),
+            ("1 = 1/2\n", "component 0 must be the constant mean"),
+            ("1 = 1/2\n2 = 1/2\n1 = 1/2\n", "line 14: duplicate record for subset '1'"),
+        ],
+    )
+    def test_component_zero_errors(self, component0, fragment):
+        with pytest.raises(ParseError) as exc:
+            decomposition_from_text(SMALL_DECOMPOSITION.replace("COMPONENT0", component0))
+        assert fragment in str(exc.value)
+
+    def test_key_table_is_per_shape(self):
+        # The (4, 2) table of component 0 must not admit "3,4" into a 3-point section.
+        comp0 = "[component 0]\nn = 4\nl = 2\n" + "".join(
+            f"{a},{b} = 0\n" for a in range(1, 5) for b in range(a + 1, 5)
+        )
+        kernel2 = "[kernel 2]\nn = 3\nl = 2\n1,2 = 1\n2,3 = 1\n3,4 = 1\n"
+        text = f"n = 4\nm = 2\nmean = 0\n{comp0}{kernel2}"
+        with pytest.raises(ParseError, match=r"line 18: '3,4' is not an 2-subset of \[1..3\]"):
+            decomposition_from_text(text)
+
+    def test_unreduced_value_repeated_across_sections(self):
+        text = SMALL_DECOMPOSITION.replace("COMPONENT0", "2 = 1/2\n1 = 2/4\n")
+        dec = decomposition_from_text(text)
+        half = Fraction(1, 2)
+        assert dec.mean == half
+        assert dec.kernels[1].values == dec.components[1].values == (half, -half)
+        assert dec.components[0].values == (half, half)
+        for v in dec.kernels[1].values + dec.components[0].values:
+            assert (abs(v.numerator), v.denominator) == (1, 2)
 
     def test_stray_preamble_line(self):
         with pytest.raises(ParseError) as exc:

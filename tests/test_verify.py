@@ -163,6 +163,25 @@ class TestPerturbedComponent:
         assert not any("_j2_l0_" in name for name in failed)
 
 
+class TestShiftedSums:
+    """Components e_B (order 1) and e_K (order 2) with |B & K| = 1 < m are
+    orthogonal, but the n!-sum of F(x base) H(x k_1) counts the permutations
+    sending (base, k_1) to (B, K), so only a truly shifted sum sees them."""
+
+    @pytest.fixture(autouse=True)
+    def split_components(self, monkeypatch):
+        def split(h):
+            components = {0: 0 * h, 1: indicator(h.n, (1, 2)), 2: indicator(h.n, (2, 3))}
+            return HoeffdingDecomposition(h.n, h.l, Fraction(0), {}, components)
+
+        monkeypatch.setattr(verify, "decompose", split)
+
+    def test_only_the_overlap_one_sums_fail(self):
+        report = verify_shift_orthogonality(RunConfig(n=6, m=2, seed=5, trials=2))
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"shifted_orthogonality_j1_l2_r1", "shifted_orthogonality_j2_l1_r1"}
+
+
 class TestGoldenOutput:
     def test_verify_all_stdout_is_unchanged(self):
         # The file holds the output of the earlier Fraction-based suites; the
