@@ -8,9 +8,7 @@ file-based workflows.
 """
 
 from .algebra import (
-    GramMatrix,
     ModuleVector,
-    Rational,
     act,
     indicator,
     inner_product,
@@ -32,14 +30,11 @@ from .combinatorics import (
     Tableau,
     Tabloid,
     apply_perm_to_subset,
-    columns,
-    cycle_type,
     enumerate_permutations,
     enumerate_subsets,
     fixed_subset_count,
     standard_tableau_count,
     standard_tableaux,
-    tabloid_of,
 )
 from .errors import DomainError, ParseError, ResourceLimitError
 from .fileformats import (
@@ -65,7 +60,7 @@ from .hoeffding import (
     project,
     u_statistic_lift,
 )
-from .specht import ColumnOperator, lift_to_hoeffding, polytabloid, specht_basis
+from .specht import polytabloid, specht_basis
 from .verify import (
     BenchResult,
     Lcg64,
@@ -86,18 +81,15 @@ __all__ = [
     "BenchResult",
     "CharacterTable",
     "CoefficientTable",
-    "ColumnOperator",
     "CycleType",
     "DEFAULT_ORACLE_CEILING",
     "DEFAULT_PERMUTATION_CEILING",
     "DomainError",
-    "GramMatrix",
     "HoeffdingDecomposition",
     "Lcg64",
     "ModuleVector",
     "ParseError",
     "Permutation",
-    "Rational",
     "ResourceLimitError",
     "RunConfig",
     "Subset",
@@ -110,10 +102,8 @@ __all__ = [
     "character_projection_oracle",
     "character_table",
     "coefficient_table",
-    "columns",
     "conditional_expectation",
     "conjugacy_class_size",
-    "cycle_type",
     "decompose",
     "decomposition_from_text",
     "decomposition_to_text",
@@ -125,7 +115,6 @@ __all__ = [
     "indicator",
     "inner_product",
     "is_completely_degenerate",
-    "lift_to_hoeffding",
     "load_decomposition",
     "load_module_vector",
     "module_vector_from_text",
@@ -141,7 +130,6 @@ __all__ = [
     "specht_basis",
     "standard_tableau_count",
     "standard_tableaux",
-    "tabloid_of",
     "two_row_character",
     "u_statistic_lift",
     "verify_decomposition",

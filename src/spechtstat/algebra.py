@@ -7,7 +7,6 @@ rationals, stored densely in the canonical subset order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -21,9 +20,6 @@ from .combinatorics import (
     subset_index,
 )
 from .errors import DomainError
-
-#: All scalars in this library are exact rationals.
-Rational = Fraction
 
 _ZERO = Fraction(0)
 
@@ -214,25 +210,3 @@ def rank_of_span(vectors: Sequence[ModuleVector]) -> int:
         if pivot == len(rows):
             break
     return pivot
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric matrix of pairwise inner products of a list of vectors."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def of(cls, vectors: Sequence[ModuleVector]) -> "GramMatrix":
-        k = len(vectors)
-        rows = [[_ZERO] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i, k):
-                v = inner_product(vectors[i], vectors[j])
-                rows[i][j] = v
-                rows[j][i] = v
-        return cls(tuple(tuple(r) for r in rows))
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)

@@ -21,8 +21,8 @@ from .verify import RunConfig, bench, run_suites
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    ceiling = argparse.ArgumentParser(add_help=False)
+    ceiling.add_argument(
         "--ceiling",
         type=int,
         default=DEFAULT_ORACLE_CEILING,
@@ -38,26 +38,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dims", parents=[common], help="print the dimension table for degree n")
+    p = sub.add_parser("dims", help="print the dimension table for degree n")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("chartable", parents=[common], help="export a two-row character table as CSV")
+    p = sub.add_parser("chartable", help="export a two-row character table as CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-l", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("decompose", parents=[common], help="decompose a vector file")
+    p = sub.add_parser("decompose", help="decompose a vector file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("specht", parents=[common], help="write standard polytabloid basis vectors")
+    p = sub.add_parser("specht", help="write standard polytabloid basis vectors")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p = sub.add_parser("verify", parents=[ceiling], help="run verification suites")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -69,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--report", type=Path, default=None, help="write a JSON report here")
 
-    p = sub.add_parser("bench", parents=[common], help="time the kernel route vs the n! oracle")
+    p = sub.add_parser("bench", parents=[ceiling], help="time the kernel route vs the n! oracle")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -78,6 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dims(args) -> int:
+    if args.n < 1:
+        raise DomainError(f"degree must be positive, got n={args.n}")
     print(f" l  dimension   (n={args.n})")
     for l in range(args.n // 2 + 1):
         print(f" {l}  {dimension(args.n, l)}")
@@ -105,13 +107,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_specht(args) -> int:
+    tableaux = standard_tableaux(args.n, args.l)
     args.out.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for t in standard_tableaux(args.n, args.l):
+    for t in tableaux:
         name = "-".join(str(a) for a in t.bottom_row) + ".mv"
         save_module_vector(polytabloid(t), args.out / name)
-        count += 1
-    print(f"wrote {count} polytabloid basis vectors to {args.out}/")
+    print(f"wrote {len(tableaux)} polytabloid basis vectors to {args.out}/")
     return 0
 
 

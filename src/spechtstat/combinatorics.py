@@ -203,10 +203,6 @@ def apply_perm_to_subset(x: Permutation, s: Subset) -> Subset:
     return tuple(sorted(img[j - 1] for j in s))
 
 
-def cycle_type(x: Permutation) -> CycleType:
-    return x.cycle_type()
-
-
 @lru_cache(maxsize=None)
 def _fixed_subset_poly(ct: CycleType) -> tuple[int, ...]:
     # Coefficients of prod over cycle lengths c of (1 + z^c); coefficient of
@@ -346,14 +342,6 @@ class Tableau:
 
     def text(self) -> str:
         return ";".join(",".join(str(a) for a in row) for row in (self.top_row, self.bottom_row))
-
-
-def tabloid_of(t: Tableau) -> Tabloid:
-    return t.tabloid()
-
-
-def columns(t: Tableau) -> list[tuple[int, ...]]:
-    return t.columns()
 
 
 def standard_tableaux(n: int, l: int) -> tuple[Tableau, ...]:

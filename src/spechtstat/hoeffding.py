@@ -237,6 +237,9 @@ def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
 
     m - l up passes on integer numerators, divided by (m - l)! at the end.  For
     phi = indicator(J) the lift is the containment indicator K -> 1 if J ⊆ K else 0.
+    On the span of `specht.specht_basis(n, l)` the lift is injective and lands
+    exactly in the order-l symmetric Hoeffding space: it is fixed by
+    project(., l) and killed by every other order.
     """
     n, l = phi.n, phi.l
     if l > m:

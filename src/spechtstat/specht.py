@@ -9,45 +9,16 @@ the order-l symmetric Hoeffding space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import ModuleVector, act, indicator
 from .combinatorics import Permutation, Tableau, standard_tableaux
-from .errors import DomainError
-from .hoeffding import u_statistic_lift
-
-
-@dataclass(frozen=True)
-class ColumnOperator:
-    """Ordered column pairs (top_k, bottom_k) of a tableau, applied as signed swaps.
-
-    The swaps have disjoint supports, so they commute; they are applied
-    left-to-right for determinism.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        flat = [a for pair in self.pairs for a in pair]
-        if len(set(flat)) != len(flat):
-            raise DomainError(f"column pairs overlap: {self.pairs}")
-
-    @classmethod
-    def of_tableau(cls, t: Tableau) -> "ColumnOperator":
-        return cls(tuple((t.top_row[k], t.bottom_row[k]) for k in range(t.m)))
-
-    def apply(self, f: ModuleVector) -> ModuleVector:
-        out = f
-        for i, j in self.pairs:
-            out = out - act(Permutation.transposition(f.n, i, j), out)
-        return out
 
 
 def polytabloid(t: Tableau) -> ModuleVector:
     """The signed sum of 2^m indicators generated by t's column swaps."""
-    base = indicator(t.n, t.tabloid().bottom_block)
-    return ColumnOperator.of_tableau(t).apply(base)
+    out = indicator(t.n, t.bottom_row)
+    for i, j in zip(t.top_row, t.bottom_row):
+        out = out - act(Permutation.transposition(t.n, i, j), out)
+    return out
 
 
 def specht_basis(n: int, l: int) -> tuple[ModuleVector, ...]:
@@ -56,16 +27,4 @@ def specht_basis(n: int, l: int) -> tuple[ModuleVector, ...]:
     Ordered lexicographically by bottom row; spans a subspace of dimension
     C(n,l) - C(n,l-1).
     """
-    if l < 1 or 2 * l > n:
-        raise DomainError(f"shape ({n - l},{l}) is not a valid two-row shape")
     return tuple(polytabloid(t) for t in standard_tableaux(n, l))
-
-
-def lift_to_hoeffding(v: ModuleVector, m: int) -> ModuleVector:
-    """U-statistic lift of an order-l vector to m draws.
-
-    On the span of `specht_basis(n, l)` this is injective and lands exactly in
-    the order-l symmetric Hoeffding space: the lift is fixed by project(., l)
-    and killed by every other order.
-    """
-    return u_statistic_lift(v, m)

@@ -42,8 +42,9 @@ from .hoeffding import (
     conditional_expectation,
     decompose,
     is_completely_degenerate,
+    u_statistic_lift,
 )
-from .specht import lift_to_hoeffding, polytabloid, specht_basis
+from .specht import polytabloid, specht_basis
 
 _ZERO = Fraction(0)
 
@@ -463,13 +464,13 @@ def verify_specht(config: RunConfig) -> VerificationReport:
         )
         col.record(
             "lift_equivariance",
-            lift_to_hoeffding(act(x, pt), m) == act(x, lift_to_hoeffding(pt, m)),
+            u_statistic_lift(act(x, pt), m) == act(x, u_statistic_lift(pt, m)),
             f"trial {trial}; x={list(x.images)}, tableau={t.text()}",
         )
 
     comps_by_subset = [decompose(indicator(n, K)).components for K in enumerate_subsets(n, m)]
     for l in range(1, m + 1):
-        lifted = [lift_to_hoeffding(v, m) for v in bases[l]]
+        lifted = [u_statistic_lift(v, m) for v in bases[l]]
         image = [c[l] for c in comps_by_subset]
         want = dimension(n, l)
         ranks = (rank_of_span(lifted), rank_of_span(image), rank_of_span(lifted + image))

@@ -23,13 +23,13 @@ from spechtstat import (
     enumerate_permutations,
     enumerate_subsets,
     indicator,
-    lift_to_hoeffding,
     polytabloid,
     random_module_vector,
     rank_of_span,
     specht_basis,
     standard_tableau_count,
     two_row_character,
+    u_statistic_lift,
     verify_decomposition,
     verify_shift_orthogonality,
 )
@@ -123,7 +123,7 @@ def test_criterion_7_specht_span_identity():
         for m in range(1, n // 2 + 1):
             comps = [decompose(indicator(n, K)).components for K in enumerate_subsets(n, m)]
             for l in range(1, m + 1):
-                lifted = [lift_to_hoeffding(v, m) for v in specht_basis(n, l)]
+                lifted = [u_statistic_lift(v, m) for v in specht_basis(n, l)]
                 image = [c[l] for c in comps]
                 want = dimension(n, l)
                 assert rank_of_span(lifted) == want, (n, m, l)

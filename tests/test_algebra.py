@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import perm_average_inner_product, rank_reversed_pivots
 from spechtstat import (
     DomainError,
-    GramMatrix,
     ModuleVector,
     Permutation,
     act,
@@ -119,6 +118,7 @@ class TestInnerProduct:
         f = random_module_vector(5, 2, 21)
         g = random_module_vector(5, 2, 22)
         assert inner_product(f, g) == perm_average_inner_product(f, g)
+        assert inner_product(f, g) == inner_product(g, f)
 
     def test_invariance_exhaustive_n5(self):
         f = random_module_vector(5, 2, 31)
@@ -192,17 +192,6 @@ class TestRank:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             rank_of_span([indicator(4, (1, 2)), indicator(5, (1, 2))])
-
-
-class TestGramMatrix:
-    def test_symmetric_with_inner_product_entries(self):
-        vecs = [random_module_vector(5, 2, s) for s in (1, 2, 3)]
-        g = GramMatrix.of(vecs)
-        assert g.size == 3
-        for i in range(3):
-            for j in range(3):
-                assert g.entries[i][j] == g.entries[j][i]
-                assert g.entries[i][j] == inner_product(vecs[i], vecs[j])
 
 
 @given(module_vectors(), st.data())

@@ -28,6 +28,13 @@ class TestDims:
     def test_missing_argument_is_usage_error(self, capsys):
         assert main(["dims"]) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_degree_is_input_error(self, n, capsys):
+        assert main(["dims", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: degree must be positive" in captured.err
+
 
 class TestChartable:
     def test_writes_csv(self, tmp_path, capsys):
@@ -132,6 +139,12 @@ class TestSpecht:
         name = "-".join(str(a) for a in t.bottom_row) + ".mv"
         assert load_module_vector(by_name[name]) == polytabloid(t)
 
+    def test_invalid_shape_creates_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert main(["specht", "--n", "4", "--l", "3", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):
@@ -165,6 +178,11 @@ class TestVerify:
         assert main(["verify", "--n", "9", "--m", "2", "--trials", "1", "--suite", "equiv"]) == 2
         assert "ceiling" in capsys.readouterr().err
 
+    def test_ceiling_flag_is_read(self, capsys):
+        args = ["verify", "--n", "5", "--m", "2", "--trials", "1", "--ceiling", "4"]
+        assert main(args) == 2
+        assert "exceeds ceiling 4" in capsys.readouterr().err
+
     def test_output_is_deterministic(self, capsys):
         args = ["verify", "--n", "4", "--m", "2", "--seed", "7", "--trials", "2"]
         main(args)
@@ -189,6 +207,22 @@ class TestBench:
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dims", "--n", "6"],
+            ["chartable", "--n", "4", "--max-l", "2", "--out", "table.csv"],
+            ["decompose", "--n", "6", "--m", "2", "--input", "in.mv", "--out", "out.dec"],
+            ["specht", "--n", "6", "--l", "2", "--out", "basis"],
+        ],
+    )
+    def test_ceiling_is_refused_where_unread(self, args, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_module_vector(random_module_vector(6, 2, 1), tmp_path / "in.mv")
+        assert main(args + ["--ceiling", "8"]) == 2
+        assert "unrecognized arguments: --ceiling 8" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mv"]
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2

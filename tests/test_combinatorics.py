@@ -13,7 +13,6 @@ from spechtstat import (
     Tableau,
     Tabloid,
     apply_perm_to_subset,
-    cycle_type,
     enumerate_permutations,
     enumerate_subsets,
     fixed_subset_count,
@@ -102,13 +101,13 @@ class TestPermutation:
 
 class TestCycleType:
     def test_identity(self):
-        assert cycle_type(Permutation.identity(4)) == (1, 1, 1, 1)
+        assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
 
     def test_double_transposition(self):
-        assert cycle_type(Permutation.from_cycles(4, (1, 2), (3, 4))) == (2, 2)
+        assert Permutation.from_cycles(4, (1, 2), (3, 4)).cycle_type() == (2, 2)
 
     def test_four_cycle(self):
-        assert cycle_type(Permutation.from_cycles(4, (1, 2, 3, 4))) == (4,)
+        assert Permutation.from_cycles(4, (1, 2, 3, 4)).cycle_type() == (4,)
 
     def test_text_forms(self):
         assert parse_cycle_type("3-2-1-1") == (3, 2, 1, 1)

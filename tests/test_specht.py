@@ -3,7 +3,6 @@ from math import comb
 import pytest
 
 from spechtstat import (
-    ColumnOperator,
     DomainError,
     Tableau,
     act,
@@ -12,12 +11,12 @@ from spechtstat import (
     enumerate_subsets,
     indicator,
     inner_product,
-    lift_to_hoeffding,
     polytabloid,
     project,
     rank_of_span,
     specht_basis,
     standard_tableaux,
+    u_statistic_lift,
 )
 from spechtstat.verify import Lcg64
 
@@ -30,6 +29,27 @@ class TestPolytabloid:
             - indicator(6, (1, 6))
             - indicator(6, (2, 5))
             + indicator(6, (1, 2))
+        )
+        assert polytabloid(t) == expected
+
+    def test_expansion_with_split_top_row(self):
+        t = Tableau((1, 2, 3, 6), (4, 5))
+        expected = (
+            indicator(6, (4, 5))
+            - indicator(6, (1, 5))
+            - indicator(6, (4, 2))
+            + indicator(6, (1, 2))
+        )
+        assert polytabloid(t) == expected
+
+    def test_unsorted_rows_pair_columns_by_position(self):
+        # columns (2, 5) and (1, 4), not the sorted pairs (1, 4) and (3, 5)
+        t = Tableau((2, 1, 3), (5, 4))
+        expected = (
+            indicator(5, (4, 5))
+            - indicator(5, (2, 4))
+            - indicator(5, (1, 5))
+            + indicator(5, (1, 2))
         )
         assert polytabloid(t) == expected
 
@@ -55,29 +75,6 @@ class TestPolytabloid:
     def test_mean_zero(self):
         for t in standard_tableaux(6, 2):
             assert polytabloid(t).mean() == 0
-
-
-class TestColumnOperator:
-    def test_of_tableau_pairs(self):
-        t = Tableau((2, 1, 3), (5, 4))
-        op = ColumnOperator.of_tableau(t)
-        assert op.pairs == ((2, 5), (1, 4))
-
-    def test_overlapping_pairs_rejected(self):
-        with pytest.raises(DomainError):
-            ColumnOperator(((1, 2), (2, 3)))
-
-    def test_apply_matches_signed_expansion(self):
-        op = ColumnOperator(((1, 4), (2, 5)))
-        base = indicator(6, (4, 5))
-        out = op.apply(base)
-        expected = (
-            indicator(6, (4, 5))
-            - indicator(6, (1, 5))
-            - indicator(6, (4, 2))
-            + indicator(6, (1, 2))
-        )
-        assert out == expected
 
 
 class TestSpechtBasis:
@@ -109,11 +106,11 @@ class TestSpechtBasis:
 class TestLiftToHoeffding:
     def test_same_order_identity(self):
         v = specht_basis(6, 3)[0]
-        assert lift_to_hoeffding(v, 3) == v
+        assert u_statistic_lift(v, 3) == v
 
     def test_lifted_basis_lands_in_single_order(self):
         for v in specht_basis(6, 2):
-            lifted = lift_to_hoeffding(v, 3)
+            lifted = u_statistic_lift(v, 3)
             assert lifted.mean() == 0
             assert project(lifted, 2) == lifted
             assert project(lifted, 1).is_zero()
@@ -121,7 +118,7 @@ class TestLiftToHoeffding:
 
     def test_lift_injective_on_basis(self):
         for l in (1, 2):
-            lifted = [lift_to_hoeffding(v, 3) for v in specht_basis(6, l)]
+            lifted = [u_statistic_lift(v, 3) for v in specht_basis(6, l)]
             assert rank_of_span(lifted) == dimension(6, l)
 
     def test_lift_equivariance(self):
@@ -129,11 +126,11 @@ class TestLiftToHoeffding:
         v = specht_basis(5, 1)[2]
         for _ in range(6):
             x = gen.permutation(5)
-            assert lift_to_hoeffding(act(x, v), 2) == act(x, lift_to_hoeffding(v, 2))
+            assert u_statistic_lift(act(x, v), 2) == act(x, u_statistic_lift(v, 2))
 
     def test_order_too_large(self):
         with pytest.raises(DomainError):
-            lift_to_hoeffding(specht_basis(6, 3)[0], 2)
+            u_statistic_lift(specht_basis(6, 3)[0], 2)
 
 
 class TestSpanIdentity:
@@ -141,7 +138,7 @@ class TestSpanIdentity:
     def test_lifted_specht_equals_projection_image(self, n, m):
         comps = [decompose(indicator(n, K)).components for K in enumerate_subsets(n, m)]
         for l in range(1, m + 1):
-            lifted = [lift_to_hoeffding(v, m) for v in specht_basis(n, l)]
+            lifted = [u_statistic_lift(v, m) for v in specht_basis(n, l)]
             image = [c[l] for c in comps]
             want = dimension(n, l)
             assert rank_of_span(lifted) == want
@@ -156,5 +153,5 @@ class TestSpanIdentity:
                 for u in specht_basis(6, i):
                     for v in specht_basis(6, j):
                         assert inner_product(
-                            lift_to_hoeffding(u, 3), lift_to_hoeffding(v, 3)
+                            u_statistic_lift(u, 3), u_statistic_lift(v, 3)
                         ) == 0
