@@ -1,8 +1,11 @@
 """Exact rational vectors on the l-subsets of [1..n], with the natural group action.
 
-Scalars are `fractions.Fraction` throughout; nothing in the library ever
-rounds.  A `ModuleVector` is a function from the l-subsets of [1..n] to the
-rationals, stored densely in the canonical subset order.
+Nothing in the library ever rounds.  A `ModuleVector` is a function from the
+l-subsets of [1..n] to the rationals, stored densely in the canonical subset
+order as integer numerators over one positive common denominator, reduced by
+their joint gcd.  That form is unique, so equality and hashing are exact, and
+the vector operations run on Python ints.  The `Fraction` entries (`.values`)
+are built only when a caller first asks for them.
 """
 
 from __future__ import annotations
@@ -21,12 +24,6 @@ from .combinatorics import (
 )
 from .errors import DomainError
 
-_ZERO = Fraction(0)
-
-
-def _as_fraction(v) -> Fraction:
-    return v if type(v) is Fraction else Fraction(v)
-
 
 def integer_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """The common denominator D of the values (lcm of their denominators) and the integers D*v."""
@@ -37,61 +34,104 @@ def integer_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
 class ModuleVector:
     """A rational-valued function on the l-subsets of [1..n].
 
-    Values are kept in the canonical (lexicographic) subset order; the vector
-    is immutable and usable as a dict key.
+    Stored as `numerators`, a tuple of ints in the canonical (lexicographic)
+    subset order, over one `denominator` > 0 with gcd(denominator, *numerators)
+    == 1; the zero vector has denominator 1.  `values` gives the entries as
+    `Fraction`s.  The vector is immutable and usable as a dict key.
     """
 
-    __slots__ = ("n", "l", "values")
+    __slots__ = ("n", "l", "numerators", "denominator", "_values")
 
     def __init__(self, n: int, l: int, values: Iterable):
-        vals = tuple(_as_fraction(v) for v in values)
-        if len(vals) != comb(n, l):
+        vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+        den, nums = integer_numerators(vals)
+        self._set(n, l, nums, den)
+
+    @classmethod
+    def from_numerators(
+        cls, n: int, l: int, numerators: Iterable[int], denominator: int
+    ) -> "ModuleVector":
+        """The vector with entries numerators[i] / denominator, in canonical subset order.
+
+        Any nonzero denominator is accepted; the result is reduced by the joint gcd.
+        """
+        if denominator == 0:
+            raise DomainError("denominator must be nonzero")
+        out = cls.__new__(cls)
+        out._set(n, l, numerators, denominator)
+        return out
+
+    def _set(self, n: int, l: int, nums: Iterable[int], den: int) -> None:
+        nums = tuple(nums)
+        if len(nums) != comb(n, l):
             raise DomainError(
-                f"expected {comb(n, l)} values for shape (n={n}, l={l}), got {len(vals)}"
+                f"expected {comb(n, l)} values for shape (n={n}, l={l}), got {len(nums)}"
             )
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple([x // g for x in nums])
+            den //= g
         self.n = n
         self.l = l
-        self.values = vals
+        self.numerators = nums
+        self.denominator = den
+        self._values = None
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The entries as `Fraction`s, in canonical subset order; built once, on first use."""
+        if self._values is None:
+            den = self.denominator
+            self._values = tuple([Fraction(x, den) for x in self.numerators])
+        return self._values
 
     @classmethod
     def zero(cls, n: int, l: int) -> "ModuleVector":
-        return cls(n, l, [_ZERO] * comb(n, l))
+        return cls.constant(n, l, 0)
 
     @classmethod
     def constant(cls, n: int, l: int, c) -> "ModuleVector":
-        return cls(n, l, [_as_fraction(c)] * comb(n, l))
+        c = Fraction(c)
+        size = comb(n, l)
+        out = cls.from_numerators(n, l, [c.numerator] * size, c.denominator)
+        out._values = (c,) * size  # one shared Fraction, as the entries are all equal
+        return out
 
     @classmethod
     def from_mapping(cls, n: int, l: int, mapping: Mapping[Subset, object]) -> "ModuleVector":
         """Build from a sparse {subset: value} mapping; absent subsets read as zero."""
         idx = subset_index(n, l)
-        vals = [_ZERO] * comb(n, l)
+        vals = [0] * comb(n, l)
         for key, v in mapping.items():
             s = check_subset(n, key)
             if len(s) != l:
                 raise DomainError(f"subset {s} has size {len(s)}, expected {l}")
-            vals[idx[s]] = _as_fraction(v)
+            vals[idx[s]] = v
         return cls(n, l, vals)
 
     def __getitem__(self, key: Iterable[int]) -> Fraction:
         s = tuple(sorted(key))
         try:
-            return self.values[subset_index(self.n, self.l)[s]]
+            i = subset_index(self.n, self.l)[s]
         except KeyError:
             raise DomainError(f"{s} is not an {self.l}-subset of [1..{self.n}]") from None
+        return Fraction(self.numerators[i], self.denominator)
 
     def items(self) -> Iterator[tuple[Subset, Fraction]]:
         return zip(enumerate_subsets(self.n, self.l), self.values)
 
     def mean(self) -> Fraction:
         """Average value over all subsets: the expectation under a uniform draw."""
-        return Fraction(sum(self.values), comb(self.n, self.l))
+        return Fraction(sum(self.numerators), self.denominator * comb(self.n, self.l))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
+        return not any(self.numerators)
 
     def support(self) -> tuple[Subset, ...]:
-        return tuple(s for s, v in self.items() if v != 0)
+        subsets = enumerate_subsets(self.n, self.l)
+        return tuple(s for s, x in zip(subsets, self.numerators) if x)
 
     def _check_shape(self, other: "ModuleVector") -> None:
         if self.n != other.n or self.l != other.l:
@@ -99,26 +139,37 @@ class ModuleVector:
                 f"shape mismatch: (n={self.n}, l={self.l}) vs (n={other.n}, l={other.l})"
             )
 
+    def _combine(self, other: "ModuleVector", sign: int) -> "ModuleVector":
+        # self + sign * other over the lcm of the two denominators.
+        self._check_shape(other)
+        da, db = self.denominator, other.denominator
+        den = lcm(da, db)
+        ka, kb = den // da, sign * (den // db)
+        nums = [ka * a + kb * b for a, b in zip(self.numerators, other.numerators)]
+        return ModuleVector.from_numerators(self.n, self.l, nums, den)
+
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        self._check_shape(other)
-        return ModuleVector(self.n, self.l, [a + b for a, b in zip(self.values, other.values)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        self._check_shape(other)
-        return ModuleVector(self.n, self.l, [a - b for a, b in zip(self.values, other.values)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ModuleVector":
-        return ModuleVector(self.n, self.l, [-a for a in self.values])
+        return ModuleVector.from_numerators(
+            self.n, self.l, [-a for a in self.numerators], self.denominator
+        )
 
     def __rmul__(self, c) -> "ModuleVector":
         if not isinstance(c, (int, Fraction)):
             return NotImplemented
-        c = _as_fraction(c)
-        return ModuleVector(self.n, self.l, [c * a for a in self.values])
+        p, q = c.numerator, c.denominator
+        return ModuleVector.from_numerators(
+            self.n, self.l, [p * a for a in self.numerators], q * self.denominator
+        )
 
     __mul__ = __rmul__
 
@@ -127,34 +178,35 @@ class ModuleVector:
             isinstance(other, ModuleVector)
             and self.n == other.n
             and self.l == other.l
-            and self.values == other.values
+            and self.denominator == other.denominator
+            and self.numerators == other.numerators
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.l, self.values))
+        return hash((self.n, self.l, self.denominator, self.numerators))
 
     def __repr__(self) -> str:
-        nonzero = sum(1 for v in self.values if v != 0)
-        return f"ModuleVector(n={self.n}, l={self.l}, {nonzero} nonzero of {len(self.values)})"
+        nonzero = sum(1 for x in self.numerators if x)
+        return f"ModuleVector(n={self.n}, l={self.l}, {nonzero} nonzero of {len(self.numerators)})"
 
 
 def indicator(n: int, s: Iterable[int]) -> ModuleVector:
     """The basis vector equal to 1 at subset s and 0 elsewhere."""
     s = check_subset(n, s)
     l = len(s)
-    vals = [_ZERO] * comb(n, l)
-    vals[subset_index(n, l)[s]] = Fraction(1)
-    return ModuleVector(n, l, vals)
+    nums = [0] * comb(n, l)
+    nums[subset_index(n, l)[s]] = 1
+    return ModuleVector.from_numerators(n, l, nums, 1)
 
 
 def act(x: Permutation, f: ModuleVector) -> ModuleVector:
     """The action (x f)(K) = f(x^{-1} K); sends indicator(J) to indicator(x J)."""
     if x.n != f.n:
         raise DomainError(f"degree mismatch: permutation of [1..{x.n}] on vector with n={f.n}")
-    out = [_ZERO] * len(f.values)
-    for v, k in zip(f.values, subset_images(x, f.l)):
+    out = [0] * len(f.numerators)
+    for v, k in zip(f.numerators, subset_images(x, f.l)):
         out[k] = v
-    return ModuleVector(f.n, f.l, out)
+    return ModuleVector.from_numerators(f.n, f.l, out, f.denominator)
 
 
 def inner_product(f: ModuleVector, g: ModuleVector) -> Fraction:
@@ -164,8 +216,8 @@ def inner_product(f: ModuleVector, g: ModuleVector) -> Fraction:
     is invariant under the group action.
     """
     f._check_shape(g)
-    total = sum((a * b for a, b in zip(f.values, g.values) if a and b), _ZERO)
-    return Fraction(total, comb(f.n, f.l))
+    total = sum([a * b for a, b in zip(f.numerators, g.numerators) if a and b])
+    return Fraction(total, f.denominator * g.denominator * comb(f.n, f.l))
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -176,7 +228,7 @@ def _primitive(row: list[int]) -> list[int]:
 def rank_of_span(vectors: Sequence[ModuleVector]) -> int:
     """Dimension of the linear span, by exact fraction-free Gaussian elimination.
 
-    Each row is scaled to integers by the lcm of its denominators; an update
+    Each row is the vector's integer numerators divided by their gcd; an update
     replaces a row by pval*row - factor*pivot_row and divides it by its gcd, so
     every entry has the zero pattern of the rational elimination.  Pivot rule:
     scan columns in canonical subset order, picking the first row with a
@@ -187,7 +239,7 @@ def rank_of_span(vectors: Sequence[ModuleVector]) -> int:
     first = vectors[0]
     for v in vectors[1:]:
         first._check_shape(v)
-    rows = [_primitive(integer_numerators(v.values)[1]) for v in vectors]
+    rows = [_primitive(list(v.numerators)) for v in vectors]
     ncols = len(rows[0])
     pivot = 0
     for col in range(ncols):

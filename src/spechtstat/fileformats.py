@@ -15,6 +15,8 @@ Decomposition format: a preamble with n, m and the mean, then one
 "[kernel l]" block per order l = 1..m and one "[component l]" block per
 l = 0..m, each block holding a vector in the format above.
 
+Each section is read as integer pairs p/q and built with one lcm of its
+denominators; the writer reduces each entry by one gcd as it formats it.
 Values that repeat within one file are handled once per call.  The readers
 parse each distinct value text once, and a section that lists at least half
 of its subsets looks canonical keys ("1,4,7") up in a table built once per
@@ -23,6 +25,9 @@ shape; every other spelling that `parse_subset` accepts (such as "7,1,4" or
 The decomposition writer formats the mean once for all of component 0 and
 reuses the text of kernel m for component m, the two blocks that repeat
 values.  Nothing is cached between calls.
+
+A decomposition file is accepted only if every component is the U-statistic
+lift of its kernel and component 0 is the constant mean.
 """
 
 from __future__ import annotations
@@ -30,29 +35,32 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Callable
 
 from .algebra import ModuleVector
 from .combinatorics import Subset, enumerate_subsets, format_subset, parse_subset, subset_index
 from .errors import ParseError, ResourceLimitError
-from .hoeffding import HoeffdingDecomposition
+from .hoeffding import HoeffdingDecomposition, u_statistic_lift
 
 _NumberedLines = list[tuple[int, str]]
 
-_ZERO = Fraction(0)
 
-
-def format_rational(q: Fraction) -> str:
+def _pair_text(p: int, q: int) -> str:
+    # "p" or "p/q" for a reduced pair with q > 0.
     try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:
         raise ResourceLimitError(
-            f"a rational of {q.numerator.bit_length()}/{q.denominator.bit_length()} bits exceeds "
+            f"a rational of {p.bit_length()}/{q.bit_length()} bits exceeds "
             f"the interpreter's limit of {sys.get_int_max_str_digits()} digits for "
             "int-to-string conversion"
         ) from None
+
+
+def format_rational(q: Fraction) -> str:
+    return _pair_text(q.numerator, q.denominator)
 
 
 #: The only accepted rational forms: "p" or "p/q", decimal digits, optional sign on p.
@@ -65,6 +73,11 @@ def parse_rational(text: str, lineno: int | None = None) -> Fraction:
     Anything else, including decimal points and exponent forms such as
     "1e999999999", raises `ParseError` before any number is built.
     """
+    return Fraction(*_parse_pair(text, lineno))
+
+
+def _parse_pair(text: str, lineno: int | None) -> tuple[int, int]:
+    # The integers (p, q) of "p" or "p/q", q > 0 and not reduced.
     text = text.strip()
     where = f"line {lineno}: " if lineno is not None else ""
     match = _RATIONAL.fullmatch(text)
@@ -72,31 +85,41 @@ def parse_rational(text: str, lineno: int | None = None) -> Fraction:
         raise ParseError(f"{where}bad rational {text!r}; expected p or p/q")
     num, den = match.groups()
     try:
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    except ZeroDivisionError:
-        raise ParseError(f"{where}bad rational {text!r}; zero denominator") from None
+        pair = int(num), int(den) if den else 1
     except ValueError:  # int() refuses digit runs past the interpreter's limit
         raise ParseError(
             f"{where}rational {text[:20]}... has more digits than the interpreter's "
             f"limit of {sys.get_int_max_str_digits()} for string-to-int conversion"
         ) from None
+    if pair[1] == 0:
+        raise ParseError(f"{where}bad rational {text!r}; zero denominator")
+    return pair
 
 
 def _vector_block(
-    f: ModuleVector, key_text: Callable[[int], str], rational_text: Callable[[Fraction], str]
+    f: ModuleVector, key_text: Callable[[int], str], value_text: Callable[[int], str] | None = None
 ) -> str:
     # The vector's lines without the final newline.  key_text gives the subset
-    # text at a canonical position; it is called only for nonzero values.
+    # text at a canonical position and value_text the text of a numerator
+    # (by default the entry reduced by one gcd); both are called only for
+    # nonzero entries.
+    den = f.denominator
+    if value_text is None:
+
+        def value_text(x: int) -> str:
+            g = gcd(x, den)
+            return _pair_text(x // g, den // g)
+
     lines = [f"n = {f.n}", f"l = {f.l}"]
-    for i, v in enumerate(f.values):
-        if v:
-            lines.append(f"{key_text(i)} = {rational_text(v)}")
+    for i, x in enumerate(f.numerators):
+        if x:
+            lines.append(f"{key_text(i)} = {value_text(x)}")
     return "\n".join(lines)
 
 
 def module_vector_to_text(f: ModuleVector) -> str:
     subsets = enumerate_subsets(f.n, f.l)
-    return _vector_block(f, lambda i: format_subset(subsets[i]), format_rational) + "\n"
+    return _vector_block(f, lambda i: format_subset(subsets[i])) + "\n"
 
 
 def _content_lines(text: str) -> _NumberedLines:
@@ -130,10 +153,10 @@ def _parse_header_int(lines: _NumberedLines, pos: int, name: str) -> int:
 
 def _parse_module_vector_lines(
     lines: _NumberedLines,
-    rationals: dict[str, Fraction],
+    rationals: dict[str, tuple[int, int]],
     keys: dict[tuple[int, int], dict[str, Subset]],
 ) -> ModuleVector:
-    # rationals (value text -> Fraction) and keys ((n, l) -> canonical subset
+    # rationals (value text -> (p, q)) and keys ((n, l) -> canonical subset
     # text -> subset) live for one parse call and are shared by its sections.
     n = _parse_header_int(lines, 0, "n")
     l = _parse_header_int(lines, 1, "l")
@@ -148,7 +171,7 @@ def _parse_module_vector_lines(
         # (n is tested first to keep comb() cheap: C(n, l) >= n for 0 < l < n).
         subsets = enumerate_subsets(n, l)
         canonical = keys[n, l] = dict(zip(map(format_subset, subsets), subsets))
-    mapping: dict[Subset, Fraction] = {}
+    mapping: dict[Subset, tuple[int, int]] = {}
     for lineno, line in records:
         key, value = _split_assignment(lineno, line)
         subset = canonical.get(key)
@@ -161,15 +184,18 @@ def _parse_module_vector_lines(
                 raise ParseError(f"line {lineno}: {key!r} is not an {l}-subset of [1..{n}]")
         if subset in mapping:
             raise ParseError(f"line {lineno}: duplicate record for subset {key!r}")
-        q = rationals.get(value)
-        if q is None:
-            q = rationals[value] = parse_rational(value, lineno)
-        mapping[subset] = q
-    vals = [_ZERO] * comb(n, l)
+        pair = rationals.get(value)
+        if pair is None:
+            pair = rationals[value] = _parse_pair(value, lineno)
+        mapping[subset] = pair
+    # One lcm over the distinct denominators puts every entry over den.
+    den = lcm(*{q for _, q in mapping.values()})
+    scale = {q: den // q for _, q in mapping.values()}
+    nums = [0] * comb(n, l)
     index = subset_index(n, l)
-    for subset, q in mapping.items():
-        vals[index[subset]] = q
-    return ModuleVector(n, l, vals)
+    for subset, (p, q) in mapping.items():
+        nums[index[subset]] = p * scale[q]
+    return ModuleVector.from_numerators(n, l, nums, den)
 
 
 def module_vector_from_text(text: str) -> ModuleVector:
@@ -192,7 +218,7 @@ def decomposition_to_text(dec: HoeffdingDecomposition) -> str:
     mean_text = format_rational(dec.mean)
     orders = range(1, m + 1)
     key_text = {l: list(map(format_subset, enumerate_subsets(n, l))).__getitem__ for l in orders}
-    kernels = {l: _vector_block(dec.kernels[l], key_text[l], format_rational) for l in orders}
+    kernels = {l: _vector_block(dec.kernels[l], key_text[l]) for l in orders}
     parts = [f"n = {n}", f"m = {m}", f"mean = {mean_text}"]
     for l in orders:
         parts += [f"[kernel {l}]", kernels[l]]
@@ -200,12 +226,12 @@ def decomposition_to_text(dec: HoeffdingDecomposition) -> str:
         # Component 0 repeats the mean C(n, m) times, and component m is kernel m
         # (its lift to order m is the identity): neither is formatted again.
         comp = dec.components[l]
-        if l == 0 and comp.values == (dec.mean,) * len(comp.values):
-            block = _vector_block(comp, key_text[m], lambda q: mean_text)
+        if l == 0 and comp == ModuleVector.constant(n, m, dec.mean):
+            block = _vector_block(comp, key_text[m], lambda x: mean_text)
         elif l == m and comp == dec.kernels[m]:
             block = kernels[m]
         else:
-            block = _vector_block(comp, key_text[m], format_rational)
+            block = _vector_block(comp, key_text[m])
         parts += [f"[component {l}]", block]
     return "\n".join(parts) + "\n"
 
@@ -245,8 +271,9 @@ def decomposition_from_text(text: str) -> HoeffdingDecomposition:
     key, value = _split_assignment(mean_lineno, mean_line)
     if key != "mean":
         raise ParseError(f"line {mean_lineno}: expected 'mean = ...', got {mean_line!r}")
-    mean = parse_rational(value, mean_lineno)
-    rationals = {value: mean}
+    pair = _parse_pair(value, mean_lineno)
+    mean = Fraction(*pair)
+    rationals = {value: pair}
     if len(preamble) > 3:
         lineno, line = preamble[3]
         raise ParseError(f"line {lineno}: unexpected content before first section: {line!r}")
@@ -255,6 +282,7 @@ def decomposition_from_text(text: str) -> HoeffdingDecomposition:
 
     kernels: dict[int, ModuleVector] = {}
     components: dict[int, ModuleVector] = {}
+    component_lines: dict[int, int] = {}
     keys: dict[tuple[int, int], dict[str, Subset]] = {}
     for kind, index, lineno, body in sections:
         vec = _parse_module_vector_lines(body, rationals, keys)
@@ -273,6 +301,7 @@ def decomposition_from_text(text: str) -> HoeffdingDecomposition:
             if index in components:
                 raise ParseError(f"line {lineno}: duplicate component {index}")
             components[index] = vec
+            component_lines[index] = lineno
 
     missing_k = [l for l in range(1, m + 1) if l not in kernels]
     missing_c = [l for l in range(m + 1) if l not in components]
@@ -281,7 +310,15 @@ def decomposition_from_text(text: str) -> HoeffdingDecomposition:
             f"line 1: missing sections (kernels {missing_k}, components {missing_c})"
         )
     if components[0] != ModuleVector.constant(n, m, mean):
-        raise ParseError("line 1: component 0 must be the constant mean vector")
+        raise ParseError(
+            f"line {component_lines[0]}: component 0 must be the constant mean vector"
+        )
+    for l in range(1, m + 1):
+        if components[l] != u_statistic_lift(kernels[l], m):
+            raise ParseError(
+                f"line {component_lines[l]}: component {l} is not the U-statistic lift "
+                f"of kernel {l}"
+            )
     return HoeffdingDecomposition(n, m, mean, kernels, components)
 
 

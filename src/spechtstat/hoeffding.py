@@ -18,7 +18,8 @@ point) and the up pass (sum over the subsets with one point fewer).  Each
 pass into or out of layer b costs C(n, b) * b integer adds.  Down passes
 give the superset sums behind every conditional expectation; one Horner
 chain of up passes per order l gives the kernel, and m - l more give its
-component.  Each output entry is built as a single `Fraction` at the end.
+component.  Each output vector is built from its integer numerators and one
+denominator; no `Fraction` is made per entry.
 """
 
 from __future__ import annotations
@@ -124,11 +125,11 @@ def conditional_expectation(h: ModuleVector, assigned: Subset) -> Fraction:
     taken = set(assigned)
     complement = [j for j in range(1, n + 1) if j not in taken]
     idx = subset_index(n, m)
-    vals = h.values
-    total = _ZERO
+    nums = h.numerators
+    total = 0
     for extra in itertools.combinations(complement, m - a):
-        total += vals[idx[tuple(sorted(assigned + extra))]]
-    return Fraction(total, comb(n - a, m - a))
+        total += nums[idx[tuple(sorted(assigned + extra))]]
+    return Fraction(total, h.denominator * comb(n - a, m - a))
 
 
 def _face_table(n: int, b: int) -> list[list[int]]:
@@ -156,11 +157,7 @@ def _down(upper: list[int], faces: list[list[int]], size: int) -> list[int]:
     return out
 
 
-def _vector(n: int, l: int, numerators: list[int], den: int) -> ModuleVector:
-    return ModuleVector(n, l, [Fraction(x, den) for x in numerators])
-
-
-def _superset_sums(h: ModuleVector) -> tuple[int, dict[int, list[list[int]]], list[list[int]]]:
+def _superset_sums(h: ModuleVector) -> tuple[int, dict[int, list[list[int]]], list]:
     """Down passes: D, the face tables of layers 1..m, and S_a for a = 0..m.
 
     S_a(A) is D times the sum of h over the m-subsets containing A, so that
@@ -168,13 +165,12 @@ def _superset_sums(h: ModuleVector) -> tuple[int, dict[int, list[list[int]]], li
     divides the down pass exactly by m - a, the number of ways to add a point.
     """
     n, m = h.n, h.l
-    den, top = integer_numerators(h.values)
     faces = {b: _face_table(n, b) for b in range(1, m + 1)}
-    sums = [top]
+    sums = [h.numerators]
     for a in range(m - 1, -1, -1):
         sums.append([s // (m - a) for s in _down(sums[-1], faces[a + 1], comb(n, a))])
     sums.reverse()
-    return den, faces, sums
+    return h.denominator, faces, sums
 
 
 def _chain_coefficients(n: int, m: int, l: int) -> tuple[int, list[int]]:
@@ -229,7 +225,7 @@ def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
     _check_shape(n, m)
     den, faces, sums = _superset_sums(h)
     v, mult = _kernel_numerators(n, m, l, faces, sums)
-    return _vector(n, l, v, mult * den)
+    return ModuleVector.from_numerators(n, l, v, mult * den)
 
 
 def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
@@ -248,9 +244,9 @@ def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
         raise DomainError(f"cannot draw m={m} points from [1..{n}]")
     if l == m:
         return phi
-    den, v = integer_numerators(phi.values)
     faces = {b: _face_table(n, b) for b in range(l + 1, m + 1)}
-    return _vector(n, m, _lift_numerators(v, faces, l, m), den * factorial(m - l))
+    lifted = _lift_numerators(phi.numerators, faces, l, m)
+    return ModuleVector.from_numerators(n, m, lifted, phi.denominator * factorial(m - l))
 
 
 def project(h: ModuleVector, l: int) -> ModuleVector:
@@ -267,7 +263,8 @@ def project(h: ModuleVector, l: int) -> ModuleVector:
     _check_shape(n, m)
     den, faces, sums = _superset_sums(h)
     v, mult = _kernel_numerators(n, m, l, faces, sums)
-    return _vector(n, m, _lift_numerators(v, faces, l, m), mult * den * factorial(m - l))
+    lifted = _lift_numerators(v, faces, l, m)
+    return ModuleVector.from_numerators(n, m, lifted, mult * den * factorial(m - l))
 
 
 def is_completely_degenerate(phi: ModuleVector) -> bool:
@@ -279,8 +276,7 @@ def is_completely_degenerate(phi: ModuleVector) -> bool:
     n, l = phi.n, phi.l
     if l < 1:
         raise DomainError("degeneracy is defined for kernels of order >= 1")
-    _, v = integer_numerators(phi.values)
-    return not any(_down(v, _face_table(n, l), comb(n, l - 1)))
+    return not any(_down(phi.numerators, _face_table(n, l), comb(n, l - 1)))
 
 
 @dataclass(frozen=True)
@@ -311,7 +307,8 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     The superset sums S_0..S_m are computed once on integers over the common
     denominator D; each order l then costs one Horner chain of l up passes for
     its kernel and m - l more for its component, C(n, b) * b integer adds per
-    pass into layer b.  Each output entry is a single `Fraction`.
+    pass into layer b.  Each output vector keeps its integer numerators,
+    reduced by one joint gcd.
     """
     n, m = h.n, h.l
     _check_shape(n, m)
@@ -321,12 +318,13 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     components = {0: ModuleVector.constant(n, m, mean)}
     for l in range(1, m + 1):
         v, mult = _kernel_numerators(n, m, l, faces, sums)
-        kernels[l] = _vector(n, l, v, mult * den)
+        kernels[l] = ModuleVector.from_numerators(n, l, v, mult * den)
         if l == m:
             components[l] = kernels[l]
         else:
             lifted = _lift_numerators(v, faces, l, m)
-            components[l] = _vector(n, m, lifted, mult * den * factorial(m - l))
+            scale = mult * den * factorial(m - l)
+            components[l] = ModuleVector.from_numerators(n, m, lifted, scale)
     return HoeffdingDecomposition(n, m, mean, kernels, components)
 
 
@@ -373,8 +371,7 @@ def character_projection_oracle(
     at every m-subset K.  Factorial cost by design: this is the slow oracle the
     kernel route is checked against.  The n! walk is done once per (n, m) and
     grouped by cycle type (see `_projection_weights`); the weights are applied to
-    f's integer numerators over one common denominator, and each output entry
-    is a single `Fraction`.  Refuses n above `ceiling`.
+    f's integer numerators over its denominator.  Refuses n above `ceiling`.
     """
     n, m = f.n, f.l
     if l < 0 or l > m:
@@ -385,9 +382,9 @@ def character_projection_oracle(
             f"pass ceiling={n} (or None) to override"
         )
     weights = _projection_weights(n, m, l)
-    den, vals = integer_numerators(f.values)
-    dim, scale = dimension(n, l), factorial(n) * den
-    return ModuleVector(n, m, [Fraction(dim * sum(map(mul, row, vals)), scale) for row in weights])
+    nums, dim = f.numerators, dimension(n, l)
+    out = [dim * sum(map(mul, row, nums)) for row in weights]
+    return ModuleVector.from_numerators(n, m, out, factorial(n) * f.denominator)
 
 
 def clear_oracle_cache() -> None:

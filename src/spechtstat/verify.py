@@ -20,7 +20,6 @@ from .algebra import (
     act,
     indicator,
     inner_product,
-    integer_numerators,
     rank_of_span,
 )
 from .characters import dimension
@@ -116,8 +115,8 @@ class RunConfig:
             raise DomainError(f"need 1 <= m <= n/2, got n={self.n}, m={self.m}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.trials < 0:
-            raise DomainError(f"trials must be non-negative, got {self.trials}")
+        if self.trials < 1:
+            raise DomainError(f"trials must be at least 1, got {self.trials}")
 
 
 @dataclass
@@ -138,7 +137,8 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True when at least one check ran and every check passed."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def render(self) -> str:
         lines = [f"suite {self.suite}: n={self.n} m={self.m} seed={self.seed} trials={self.trials}"]
@@ -295,14 +295,15 @@ def _fixed_point_route(f: ModuleVector) -> ModuleVector:
     # Order-1 projection via the explicit fixed-point count weighting
     # (fix(x) - 1), summed over all n! permutations on f's integer numerators.
     n, m = f.n, f.l
-    den, vals = integer_numerators(f.values)
-    acc = [0] * len(vals)
+    nums = f.numerators
+    acc = [0] * len(nums)
     for x in enumerate_permutations(n, ceiling=None):
         w = x.fixed_points() - 1
         if w:
-            acc = [a + w * vals[p] for a, p in zip(acc, subset_images(x, m))]
-    scale = factorial(n) * den
-    return ModuleVector(n, m, [Fraction((n - 1) * a, scale) for a in acc])
+            acc = [a + w * nums[p] for a, p in zip(acc, subset_images(x, m))]
+    return ModuleVector.from_numerators(
+        n, m, [(n - 1) * a for a in acc], factorial(n) * f.denominator
+    )
 
 
 def verify_equivalence(config: RunConfig) -> VerificationReport:
@@ -385,15 +386,15 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
         for r, k in enumerate(overlap_pos):
             pairs[r][bpos, img[k]] += 1
 
-    def pair_sum(r: int, fv: list[int], hv: list[int]) -> int:
+    def pair_sum(r: int, fv: tuple[int, ...], hv: tuple[int, ...]) -> int:
         return sum(c * fv[b] * hv[k] for (b, k), c in pairs[r].items())
 
-    def numerators(h: ModuleVector) -> list[list[int]]:
-        # Integer numerators of each component over its own positive common
+    def numerators(h: ModuleVector) -> list[tuple[int, ...]]:
+        # Integer numerators of each component over its own positive
         # denominator: every pair_sum is a positive multiple of the rational
         # n!-sum, so its "== 0" and "> 0" tests are exact.
         comps = decompose(h).components
-        return [integer_numerators(comps[l].values)[1] for l in range(m + 1)]
+        return [comps[l].numerators for l in range(m + 1)]
 
     for trial in range(config.trials):
         f0 = random_module_vector(n, m, gen.next_uint())

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from spechtstat import (
     enumerate_subsets,
     indicator,
     inner_product,
+    module_vector_from_text,
     random_module_vector,
     rank_of_span,
 )
@@ -218,3 +219,84 @@ def test_act_is_linear_and_invariant(f, data):
     g = ModuleVector(f.n, f.l, g_vals)
     assert act(x, f + g) == act(x, f) + act(x, g)
     assert inner_product(act(x, f), act(x, g)) == inner_product(f, g)
+
+
+def assert_canonical(f):
+    assert f.denominator > 0
+    assert gcd(f.denominator, *f.numerators) == 1
+    if f.is_zero():
+        assert f.denominator == 1
+    assert f.values == tuple(Fraction(x, f.denominator) for x in f.numerators)
+
+
+scalars = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@given(module_vectors(max_n=5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_operations_agree_with_entrywise_fractions(f, data):
+    k = len(f.values)
+    g = ModuleVector(f.n, f.l, data.draw(st.lists(scalars, min_size=k, max_size=k)))
+    c = data.draw(st.one_of(scalars, st.integers(-3, 3)))
+    x = Permutation(data.draw(st.permutations(list(range(1, f.n + 1)))))
+    results = {
+        "add": (f + g, [a + b for a, b in zip(f.values, g.values)]),
+        "sub": (f - g, [a - b for a, b in zip(f.values, g.values)]),
+        "neg": (-f, [-a for a in f.values]),
+        "scale": (c * f, [c * a for a in f.values]),
+        "zero": (f - f, [Fraction(0)] * k),
+    }
+    images = {s: i for i, s in enumerate(enumerate_subsets(f.n, f.l))}
+    moved = [Fraction(0)] * k
+    for s, v in zip(enumerate_subsets(f.n, f.l), f.values):
+        moved[images[tuple(sorted(x(a) for a in s))]] = v
+    results["act"] = (act(x, f), moved)
+    for name, (got, want) in results.items():
+        assert got.values == tuple(want), name
+        assert_canonical(got)
+    assert inner_product(f, g) == sum(a * b for a, b in zip(f.values, g.values)) / k
+    assert f.mean() == sum(f.values) / k
+
+
+@given(module_vectors(max_n=5), st.integers(-30, 30).filter(bool))
+@settings(max_examples=40, deadline=None)
+def test_constructor_and_from_numerators_agree(f, scale):
+    assert_canonical(f)
+    den, nums = f.denominator, f.numerators
+    for d, xs in ((den, nums), (scale * den, [scale * x for x in nums])):
+        g = ModuleVector.from_numerators(f.n, f.l, xs, d)
+        assert g == f
+        assert hash(g) == hash(f)
+        assert_canonical(g)
+    assert ModuleVector(f.n, f.l, list(f.values)) == f
+
+
+def test_canonical_form_of_special_vectors():
+    zero = ModuleVector.from_numerators(4, 2, [0] * 6, -12)
+    assert (zero.numerators, zero.denominator) == ((0,) * 6, 1)
+    assert zero == ModuleVector.zero(4, 2) == 0 * indicator(4, (1, 2))
+    half = ModuleVector.constant(4, 2, Fraction(-2, 4))
+    assert (half.numerators, half.denominator) == ((-1,) * 6, 2)
+    with pytest.raises(DomainError):
+        ModuleVector.from_numerators(4, 2, [1] * 6, 0)
+    with pytest.raises(DomainError):
+        ModuleVector.from_numerators(4, 2, [1] * 5, 1)
+
+
+@given(st.integers(2, 6), st.data())
+@settings(max_examples=30, deadline=None)
+def test_reader_reduces_unreduced_records(n, data):
+    l = data.draw(st.integers(0, n))
+    k = comb(n, l)
+    reduced = data.draw(st.lists(scalars, min_size=k, max_size=k))
+    lines = [f"n = {n}", f"l = {l}"]
+    for s, q in zip(enumerate_subsets(n, l), reduced):
+        if q:
+            m = data.draw(st.integers(1, 4))  # written as (m p)/(m q), e.g. 2/4 for 1/2
+            key = ",".join(map(str, s)) or "-"
+            lines.append(f"{key} = {m * q.numerator}/{m * q.denominator}")
+    f = module_vector_from_text("\n".join(lines) + "\n")
+    assert f.values == tuple(reduced)
+    assert_canonical(f)
+    assert f == ModuleVector(n, l, reduced)
+    assert all(f[s] == q for s, q in zip(enumerate_subsets(n, l), reduced))

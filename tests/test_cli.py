@@ -174,6 +174,13 @@ class TestVerify:
     def test_invalid_shape_is_usage_error(self, capsys):
         assert main(["verify", "--n", "5", "--m", "3"]) == 2
 
+    @pytest.mark.parametrize("suite", ["all", "decomp"])
+    def test_zero_trials_is_input_error(self, suite, capsys):
+        assert main(["verify", "--n", "5", "--m", "2", "--trials", "0", "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert "trials must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+
     def test_ceiling_guard(self, capsys):
         assert main(["verify", "--n", "9", "--m", "2", "--trials", "1", "--suite", "equiv"]) == 2
         assert "ceiling" in capsys.readouterr().err

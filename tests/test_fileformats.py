@@ -232,6 +232,26 @@ class TestDecompositionFormat:
         for v in dec.kernels[1].values + dec.components[0].values:
             assert (abs(v.numerator), v.denominator) == (1, 2)
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_component_that_is_not_the_lift_of_its_kernel(self, l):
+        text = (DATA / "decompose_n14_m3.dec").read_text()
+        start = text.index(f"[component {l}]")
+        line = text.count("\n", 0, start) + 1
+        # The first record of the section (after its n and l lines), one added to its value.
+        head, body = text[:start], text[start:].split("\n")
+        key, value = body[3].split(" = ")
+        body[3] = f"{key} = {format_rational(parse_rational(value) + 1)}"
+        with pytest.raises(ParseError) as exc:
+            decomposition_from_text(head + "\n".join(body))
+        assert str(exc.value) == (
+            f"line {line}: component {l} is not the U-statistic lift of kernel {l}"
+        )
+
+    def test_mixed_unreduced_records_read_as_reduced_values(self):
+        f = module_vector_from_text("n = 4\nl = 1\n1 = 2/4\n2 = 1/3\n3 = -6/4\n")
+        assert f.values == (Fraction(1, 2), Fraction(1, 3), Fraction(-3, 2), 0)
+        assert (f.denominator, f.numerators) == (6, (3, 2, -9, 0))
+
     def test_stray_preamble_line(self):
         with pytest.raises(ParseError) as exc:
             decomposition_from_text("n = 4\nm = 2\nmean = 0\nextra = 1\n[kernel 1]\nn = 4\nl = 1\n")

@@ -68,6 +68,10 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             RunConfig(n=6, m=2, trials=-1)
 
+    def test_refuses_zero_trials(self):
+        with pytest.raises(DomainError, match="trials must be at least 1, got 0"):
+            RunConfig(n=6, m=2, trials=0)
+
 
 class TestSuites:
     def test_decomposition_suite_passes(self):
@@ -208,6 +212,12 @@ class TestReportRendering:
         assert "[PASS] good" in text
         assert "[FAIL] bad" in text
         assert "result: FAIL (1/2 checks)" in text
+
+    def test_report_without_checks_is_not_ok(self):
+        report = VerificationReport("demo", 4, 2, 0, 1)
+        assert not report.ok
+        assert report.render().endswith("result: FAIL (0/0 checks)\n")
+        assert report.to_json_dict()["ok"] is False
 
     def test_json_dict(self):
         report = VerificationReport("demo", 4, 2, 0, 1)
