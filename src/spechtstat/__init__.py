@@ -52,7 +52,6 @@ from .hoeffding import (
     CoefficientTable,
     HoeffdingDecomposition,
     character_projection_oracle,
-    coefficient_table,
     conditional_expectation,
     decompose,
     hoeffding_kernel,
@@ -101,7 +100,6 @@ __all__ = [
     "bench",
     "character_projection_oracle",
     "character_table",
-    "coefficient_table",
     "conditional_expectation",
     "conjugacy_class_size",
     "decompose",

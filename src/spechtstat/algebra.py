@@ -25,10 +25,11 @@ from .combinatorics import (
 from .errors import DomainError
 
 
-def integer_numerators(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The common denominator D of the values (lcm of their denominators) and the integers D*v."""
-    den = lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
+def _layer_size(n: int, l: int) -> int:
+    """C(n, l), once n >= 1 and 0 <= l <= n hold (the bounds of `enumerate_subsets`)."""
+    if n < 1 or l < 0 or l > n:
+        raise DomainError(f"shape (n={n}, l={l}) outside n >= 1, 0 <= l <= n")
+    return comb(n, l)
 
 
 class ModuleVector:
@@ -44,8 +45,8 @@ class ModuleVector:
 
     def __init__(self, n: int, l: int, values: Iterable):
         vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-        den, nums = integer_numerators(vals)
-        self._set(n, l, nums, den)
+        den = lcm(*(v.denominator for v in vals))
+        self._set(n, l, [v.numerator * (den // v.denominator) for v in vals], den)
 
     @classmethod
     def from_numerators(
@@ -62,11 +63,10 @@ class ModuleVector:
         return out
 
     def _set(self, n: int, l: int, nums: Iterable[int], den: int) -> None:
+        size = _layer_size(n, l)
         nums = tuple(nums)
-        if len(nums) != comb(n, l):
-            raise DomainError(
-                f"expected {comb(n, l)} values for shape (n={n}, l={l}), got {len(nums)}"
-            )
+        if len(nums) != size:
+            raise DomainError(f"expected {size} values for shape (n={n}, l={l}), got {len(nums)}")
         g = gcd(den, *nums)
         if den < 0:
             g = -g
@@ -94,7 +94,7 @@ class ModuleVector:
     @classmethod
     def constant(cls, n: int, l: int, c) -> "ModuleVector":
         c = Fraction(c)
-        size = comb(n, l)
+        size = _layer_size(n, l)
         out = cls.from_numerators(n, l, [c.numerator] * size, c.denominator)
         out._values = (c,) * size  # one shared Fraction, as the entries are all equal
         return out

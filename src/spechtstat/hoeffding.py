@@ -4,7 +4,7 @@ A statistic is a `ModuleVector` h on the m-subsets of [1..n], read as
 h(X(1), ..., X(m)) for the first m extractions without replacement.  This
 module computes, in exact rational arithmetic:
 
-  * the coefficient tables driving the projection kernels,
+  * the coefficient tables of the double-sum projection formula,
   * conditional expectations given any partial assignment of draws,
   * the order-l completely degenerate kernels and their U-statistic lifts,
   * the orthogonal projections onto each symmetric Hoeffding space, and
@@ -20,6 +20,14 @@ give the superset sums behind every conditional expectation; one Horner
 chain of up passes per order l gives the kernel, and m - l more give its
 component.  Each output vector is built from its integer numerators and one
 denominator; no `Fraction` is made per entry.
+
+The chain's coefficients are integers in closed form (see
+`_chain_coefficients`): k(l, a) = (-1)^(l-a) C(m-a, l-a) perm(n-l+1, a) over
+M_l = C(n-2l, m-l) perm(n-l+1, l).  It rests on two identities for the
+`CoefficientTable` recursion, weight(l, j) = (-1)^(l-j) C(n-j, l-j) /
+C(n-l-j+1, l-j) and ratio(l, j) = C(n-j, l-j) / C(n-2j, l-j).  The route
+itself never builds that table; the double-sum oracle in `verify` does, so
+the two check each other.
 """
 
 from __future__ import annotations
@@ -29,10 +37,11 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from operator import mul
+from typing import Iterable, Iterator
 
-from .algebra import ModuleVector, integer_numerators
+from .algebra import ModuleVector
 from .characters import dimension, two_row_character
 from .combinatorics import (
     CycleType,
@@ -62,7 +71,8 @@ class CoefficientTable:
 
     ratio(l, j) is a product of factors (n-r)/(n-r-j); weight(l, j) follows a
     signed binomial recursion with unit diagonal.  Both families have
-    ratio(l, l) = weight(l, l) = 1.
+    ratio(l, l) = weight(l, l) = 1.  The kernel route uses their closed form
+    instead; this recursion is the double-sum oracle's own derivation.
     """
 
     __slots__ = ("n", "m", "_ratio", "_weight")
@@ -104,11 +114,6 @@ class CoefficientTable:
 
     def __repr__(self) -> str:
         return f"CoefficientTable(n={self.n}, m={self.m})"
-
-
-@lru_cache(maxsize=None)
-def coefficient_table(n: int, m: int) -> CoefficientTable:
-    return CoefficientTable(n, m)
 
 
 def conditional_expectation(h: ModuleVector, assigned: Subset) -> Fraction:
@@ -174,42 +179,50 @@ def _superset_sums(h: ModuleVector) -> tuple[int, dict[int, list[list[int]]], li
 
 
 def _chain_coefficients(n: int, m: int, l: int) -> tuple[int, list[int]]:
-    """Integer Horner coefficients k(l, a) for a = 0..l, and their common scale M_l.
+    """Integer Horner coefficients k(l, a) for a = 0..l, and their common scale M_l:
+
+        k(l, a) = (-1)^(l-a) * C(m-a, l-a) * perm(n-l+1, a),
+        M_l = C(n-2l, m-l) * perm(n-l+1, l).
 
     k(l, a) / M_l = ratio(m, l) * weight(l, a) / (C(n-a, m-a) * (l-a)!), where
-    weight(l, 0) = -sum over a >= 1 of C(l, a) * weight(l, a) subtracts the mean.
+    weight(l, 0) = -sum over a >= 1 of C(l, a) * weight(l, a) subtracts the mean;
+    at l = 0 this is 1 / C(n, m), the mean itself.  The closed form follows from
+    weight(l, j) = (-1)^(l-j) * C(n-j, l-j) / C(n-l-j+1, l-j) and
+    ratio(l, j) = C(n-j, l-j) / C(n-2j, l-j).
     """
-    table = coefficient_table(n, m)
-    weights = [table.weight(l, a) for a in range(1, l + 1)]
-    weights.insert(0, -sum(comb(l, a) * w for a, w in enumerate(weights, start=1)))
-    scale = table.ratio(m, l)
-    return integer_numerators(
-        [scale * w / (comb(n - a, m - a) * factorial(l - a)) for a, w in enumerate(weights)]
-    )
+    top = n - l + 1
+    coeffs = [(-1) ** (l - a) * comb(m - a, l - a) * perm(top, a) for a in range(l + 1)]
+    return comb(n - 2 * l, m - l) * perm(top, l), coeffs
 
 
-def _kernel_numerators(
-    n: int, m: int, l: int, faces: dict[int, list[list[int]]], sums: list[list[int]]
-) -> tuple[list[int], int]:
-    """M_l * D times the order-l kernel, and M_l.
+def _chains(
+    h: ModuleVector, orders: Iterable[int]
+) -> Iterator[tuple[int, list[int], int, dict[int, list[list[int]]]]]:
+    """Check h's shape, run its down passes once, then one Horner chain per order l.
 
-    Horner chain from V_0 = k(l,0) * S_0: V_{a+1} = up(V_a) + k(l,a+1) * S_{a+1}.
+    Yields (l, v, scale, faces): v / scale is the order-l kernel on the l-subsets,
+    built from V_0 = k(l,0) * S_0 by V_{a+1} = up(V_a) + k(l,a+1) * S_{a+1}, and
+    faces are the face tables of layers 1..m for the lift.
     """
-    mult, coeffs = _chain_coefficients(n, m, l)
-    v = [coeffs[0] * sums[0][0]]
-    for a in range(1, l + 1):
-        c = coeffs[a]
-        v = [x + c * s for x, s in zip(_up(v, faces[a]), sums[a])]
-    return v, mult
+    n, m = h.n, h.l
+    _check_shape(n, m)
+    den, faces, sums = _superset_sums(h)
+    for l in orders:
+        mult, coeffs = _chain_coefficients(n, m, l)
+        v = [coeffs[0] * sums[0][0]]
+        for a in range(1, l + 1):
+            c = coeffs[a]
+            v = [x + c * s for x, s in zip(_up(v, faces[a]), sums[a])]
+        yield l, v, mult * den, faces
 
 
-def _lift_numerators(
-    v: list[int], faces: dict[int, list[list[int]]], l: int, m: int
-) -> list[int]:
-    """(m-l)! times the U-statistic lift of layer-l integers, by m - l up passes."""
+def _component(
+    n: int, m: int, l: int, v: list[int], scale: int, faces: dict[int, list[list[int]]]
+) -> ModuleVector:
+    """The U-statistic lift of the layer-l vector v / scale: m - l up passes, then / (m-l)!."""
     for b in range(l + 1, m + 1):
         v = _up(v, faces[b])
-    return v
+    return ModuleVector.from_numerators(n, m, v, scale * factorial(m - l))
 
 
 def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
@@ -219,13 +232,10 @@ def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
     sub-assignments of the l points, of centered conditional expectations of h;
     computed by the down passes and one Horner chain of up passes.
     """
-    n, m = h.n, h.l
-    if l < 1 or l > m:
-        raise DomainError(f"kernel order l={l} outside [1..{m}]")
-    _check_shape(n, m)
-    den, faces, sums = _superset_sums(h)
-    v, mult = _kernel_numerators(n, m, l, faces, sums)
-    return ModuleVector.from_numerators(n, l, v, mult * den)
+    if l < 1 or l > h.l:
+        raise DomainError(f"kernel order l={l} outside [1..{h.l}]")
+    _, v, scale, _ = next(_chains(h, [l]))
+    return ModuleVector.from_numerators(h.n, l, v, scale)
 
 
 def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
@@ -245,8 +255,7 @@ def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
     if l == m:
         return phi
     faces = {b: _face_table(n, b) for b in range(l + 1, m + 1)}
-    lifted = _lift_numerators(phi.numerators, faces, l, m)
-    return ModuleVector.from_numerators(n, m, lifted, phi.denominator * factorial(m - l))
+    return _component(n, m, l, phi.numerators, phi.denominator, faces)
 
 
 def project(h: ModuleVector, l: int) -> ModuleVector:
@@ -255,16 +264,10 @@ def project(h: ModuleVector, l: int) -> ModuleVector:
     l = 0 gives the constant mean vector; l >= 1 is the U-statistic lift of the
     order-l kernel.  Summing over l = 0..m reconstructs h exactly.
     """
-    n, m = h.n, h.l
-    if l < 0 or l > m:
-        raise DomainError(f"projection order l={l} outside [0..{m}]")
-    if l == 0:
-        return ModuleVector.constant(n, m, h.mean())
-    _check_shape(n, m)
-    den, faces, sums = _superset_sums(h)
-    v, mult = _kernel_numerators(n, m, l, faces, sums)
-    lifted = _lift_numerators(v, faces, l, m)
-    return ModuleVector.from_numerators(n, m, lifted, mult * den * factorial(m - l))
+    if l < 0 or l > h.l:
+        raise DomainError(f"projection order l={l} outside [0..{h.l}]")
+    _, v, scale, faces = next(_chains(h, [l]))
+    return _component(h.n, h.l, l, v, scale, faces)
 
 
 def is_completely_degenerate(phi: ModuleVector) -> bool:
@@ -311,20 +314,12 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     reduced by one joint gcd.
     """
     n, m = h.n, h.l
-    _check_shape(n, m)
-    den, faces, sums = _superset_sums(h)
-    mean = Fraction(sums[0][0], den * comb(n, m))
+    mean = h.mean()
     kernels = {}
     components = {0: ModuleVector.constant(n, m, mean)}
-    for l in range(1, m + 1):
-        v, mult = _kernel_numerators(n, m, l, faces, sums)
-        kernels[l] = ModuleVector.from_numerators(n, l, v, mult * den)
-        if l == m:
-            components[l] = kernels[l]
-        else:
-            lifted = _lift_numerators(v, faces, l, m)
-            scale = mult * den * factorial(m - l)
-            components[l] = ModuleVector.from_numerators(n, m, lifted, scale)
+    for l, v, scale, faces in _chains(h, range(1, m + 1)):
+        kernels[l] = ModuleVector.from_numerators(n, l, v, scale)
+        components[l] = kernels[l] if l == m else _component(n, m, l, v, scale, faces)
     return HoeffdingDecomposition(n, m, mean, kernels, components)
 
 

@@ -35,9 +35,9 @@ from .errors import DomainError, ResourceLimitError
 from .fileformats import module_vector_to_text
 from .hoeffding import (
     DEFAULT_ORACLE_CEILING,
+    CoefficientTable,
     character_projection_oracle,
     clear_oracle_cache,
-    coefficient_table,
     conditional_expectation,
     decompose,
     is_completely_degenerate,
@@ -193,9 +193,11 @@ class _Collector:
         return out
 
 
-def _offending(trial: int, vec: ModuleVector, note: str = "") -> str:
+def _offending(trial: int, text: str, note: str = "") -> str:
+    # text is the trial's input as `module_vector_to_text` writes it, formatted
+    # once per trial and shown only when a check fails.
     head = f"trial {trial}" + (f" ({note})" if note else "")
-    return head + "; input:\n" + module_vector_to_text(vec).rstrip("\n")
+    return head + "; input:\n" + text.rstrip("\n")
 
 
 def verify_decomposition(config: RunConfig) -> VerificationReport:
@@ -221,21 +223,20 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
         f = random_module_vector(n, m, gen.next_uint())
         dec_h = decompose(h)
         dec_f = decompose(f)
+        text = module_vector_to_text(h)
+        where = _offending(trial, text)
 
-        total = dec_h.components[0]
-        for l in range(1, m + 1):
-            total = total + dec_h.components[l]
-        col.record("reconstruction", total == h, _offending(trial, h))
+        col.record("reconstruction", dec_h.reconstruction() == h, where)
 
         ortho = all(
             inner_product(dec_h.components[i], dec_h.components[j]) == 0
             for i in range(m + 1)
             for j in range(i + 1, m + 1)
         )
-        col.record("component_orthogonality", ortho, _offending(trial, h))
+        col.record("component_orthogonality", ortho, where)
 
         degen = all(is_completely_degenerate(dec_h.kernels[l]) for l in range(1, m + 1))
-        col.record("kernel_degeneracy", degen, _offending(trial, h))
+        col.record("kernel_degeneracy", degen, where)
 
         idem = True
         for l in range(m + 1):
@@ -244,7 +245,7 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
                 want = dec_h.components[l] if j == l else zero
                 if again.components[j] != want:
                     idem = False
-        col.record("projection_idempotence", idem, _offending(trial, h))
+        col.record("projection_idempotence", idem, where)
 
         lhs = inner_product(h, f)
         rhs = dec_h.mean * dec_f.mean + sum(
@@ -254,7 +255,7 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
             ),
             _ZERO,
         )
-        col.record("covariance_expansion", lhs == rhs, _offending(trial, h, "paired input"))
+        col.record("covariance_expansion", lhs == rhs, _offending(trial, text, "paired input"))
 
     report.checks = col.results()
     return report
@@ -265,7 +266,7 @@ def _double_sum_values(f: ModuleVector, l: int) -> ModuleVector:
     # its l-subsets of the weighted centered conditional expectations.  Kept
     # free of the kernel/lift plumbing on purpose.
     n, m = f.n, f.l
-    table = coefficient_table(n, m)
+    table = CoefficientTable(n, m)
     mean = f.mean()
     scale = table.ratio(m, l)
     cond: dict[tuple[int, ...], Fraction] = {}
@@ -322,6 +323,7 @@ def verify_equivalence(config: RunConfig) -> VerificationReport:
     for trial in range(config.trials):
         f = random_module_vector(n, m, gen.next_uint())
         fast = decompose(f)
+        where = _offending(trial, module_vector_to_text(f))
         oracle_sum = ModuleVector.zero(n, m)
         for l in range(m + 1):
             slow = character_projection_oracle(f, l, ceiling=config.brute_force_ceiling)
@@ -329,20 +331,20 @@ def verify_equivalence(config: RunConfig) -> VerificationReport:
             col.record(
                 f"oracle_equals_projection_l{l}",
                 slow == fast.components[l],
-                _offending(trial, f),
+                where,
             )
             if l >= 1:
                 col.record(
                     f"oracle_equals_double_sum_l{l}",
                     slow == _double_sum_values(f, l),
-                    _offending(trial, f),
+                    where,
                 )
-        col.record("oracle_components_sum_to_input", oracle_sum == f, _offending(trial, f))
+        col.record("oracle_components_sum_to_input", oracle_sum == f, where)
         if trial == 0:
             col.record(
                 "order1_fixed_point_weighting",
                 _fixed_point_route(f) == fast.components[1],
-                _offending(trial, f),
+                where,
             )
 
     comps_by_subset = [decompose(indicator(n, K)).components for K in enumerate_subsets(n, m)]
@@ -398,6 +400,7 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
 
     for trial in range(config.trials):
         f0 = random_module_vector(n, m, gen.next_uint())
+        text = module_vector_to_text(f0)
         fc = numerators(f0)
         hc = numerators(random_module_vector(n, m, gen.next_uint()))
 
@@ -409,7 +412,7 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
                     col.record(
                         f"shifted_orthogonality_j{j}_l{l}_r{r}",
                         pair_sum(r, fc[j], hc[l]) == 0,
-                        _offending(trial, f0, f"j={j} l={l} r={r}"),
+                        _offending(trial, text, f"j={j} l={l} r={r}"),
                     )
 
         # Negative control: the same-order, full-overlap sum is a squared norm,
@@ -419,7 +422,7 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
         col.record(
             "negative_control_same_order_norm_positive",
             bool(witness) and all(pair_sum(m, fv, fv) > 0 for fv in witness),
-            _offending(trial, f0),
+            _offending(trial, text),
         )
 
     report.checks = col.results()

@@ -61,6 +61,15 @@ class TestModuleVector:
         with pytest.raises(DomainError):
             ModuleVector(4, 2, [1, 2, 3])
 
+    @pytest.mark.parametrize("n, l", [(3, 5), (-1, 2), (0, 0), (4, -1)])
+    def test_shape_outside_the_subset_bounds(self, n, l):
+        with pytest.raises(DomainError):
+            ModuleVector(n, l, [])
+        with pytest.raises(DomainError):
+            ModuleVector.from_numerators(n, l, [], 1)
+        with pytest.raises(DomainError):
+            ModuleVector.constant(n, l, 1)
+
     def test_shape_mismatch_add(self):
         with pytest.raises(DomainError):
             indicator(4, (1, 2)) + indicator(5, (1, 2))

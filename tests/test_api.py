@@ -10,9 +10,9 @@ SURVIVING = [
     "HoeffdingDecomposition", "Lcg64", "ModuleVector", "ParseError", "Permutation",
     "ResourceLimitError", "RunConfig", "Subset", "Tableau", "Tabloid",
     "VerificationReport", "act", "apply_perm_to_subset", "bench",
-    "character_projection_oracle", "character_table", "coefficient_table",
-    "conditional_expectation", "conjugacy_class_size", "decompose",
-    "decomposition_from_text", "decomposition_to_text", "dimension",
+    "character_projection_oracle", "character_table", "conditional_expectation",
+    "conjugacy_class_size", "decompose", "decomposition_from_text",
+    "decomposition_to_text", "dimension",
     "enumerate_permutations", "enumerate_subsets", "fixed_subset_count",
     "hoeffding_kernel", "indicator", "inner_product", "is_completely_degenerate",
     "load_decomposition", "load_module_vector", "module_vector_from_text",
@@ -25,7 +25,7 @@ SURVIVING = [
 
 DELETED = [
     "Rational", "GramMatrix", "cycle_type", "tabloid_of", "columns",
-    "ColumnOperator", "lift_to_hoeffding",
+    "ColumnOperator", "lift_to_hoeffding", "coefficient_table",
 ]
 
 MODULES = [

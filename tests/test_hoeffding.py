@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +13,13 @@ from oracles import (
     subset_scan_lift,
 )
 from spechtstat import (
+    CoefficientTable,
     DomainError,
     ModuleVector,
     ResourceLimitError,
     act,
     apply_perm_to_subset,
     character_projection_oracle,
-    coefficient_table,
     conditional_expectation,
     decompose,
     enumerate_permutations,
@@ -54,19 +54,19 @@ EDGE_INPUTS = {
 
 class TestCoefficientTable:
     def test_unit_diagonal(self):
-        table = coefficient_table(12, 6)
+        table = CoefficientTable(12, 6)
         for l in range(1, 7):
             assert table.ratio(l, l) == 1
             assert table.weight(l, l) == 1
 
     def test_n5_values(self):
-        table = coefficient_table(5, 2)
+        table = CoefficientTable(5, 2)
         assert table.ratio(2, 1) == Fraction(4, 3)
         assert table.weight(2, 1) == Fraction(-4, 3)
 
     def test_ratio_is_the_stated_product(self):
         n = 9
-        table = coefficient_table(n, 4)
+        table = CoefficientTable(n, 4)
         for l in range(2, 5):
             for j in range(1, l):
                 prod = Fraction(1)
@@ -76,12 +76,46 @@ class TestCoefficientTable:
 
     def test_shape_out_of_range(self):
         with pytest.raises(DomainError):
-            coefficient_table(5, 3)
+            CoefficientTable(5, 3)
 
     def test_index_out_of_range(self):
-        table = coefficient_table(6, 2)
+        table = CoefficientTable(6, 2)
         with pytest.raises(DomainError):
             table.ratio(3, 1)
+
+    def test_closed_form_chain_coefficients_match_the_recursion(self):
+        # The kernel route's integer k(l, a) / M_l against the same coefficient
+        # derived from this table: ratio(m, l) * weight(l, a) / (C(n-a, m-a) * (l-a)!),
+        # with weight(l, 0) = -sum over a >= 1 of C(l, a) * weight(l, a).
+        for n in range(2, 41):
+            for m in range(1, n // 2 + 1):
+                table = CoefficientTable(n, m)
+                assert hoeffding._chain_coefficients(n, m, 0) == (comb(n, m), [1])
+                for l in range(1, m + 1):
+                    weights = [table.weight(l, a) for a in range(1, l + 1)]
+                    weights.insert(0, -sum(comb(l, a) * w for a, w in enumerate(weights, 1)))
+                    want = [
+                        table.ratio(m, l) * w / (comb(n - a, m - a) * factorial(l - a))
+                        for a, w in enumerate(weights)
+                    ]
+                    scale, coeffs = hoeffding._chain_coefficients(n, m, l)
+                    assert [Fraction(k, scale) for k in coeffs] == want, (n, m, l)
+
+
+def test_kernel_route_never_builds_the_coefficient_table(monkeypatch):
+    def refuse(n, m):
+        raise AssertionError("the kernel route built a CoefficientTable")
+
+    monkeypatch.setattr(hoeffding, "CoefficientTable", refuse)
+    n, m = 8, 4
+    h = random_module_vector(n, m, 41)
+    dec = decompose(h)
+    for l in range(m + 1):
+        want = hoeffding_projection_by_least_squares(h, l)
+        assert dec.components[l] == want
+        assert project(h, l) == want
+        if l:
+            assert u_statistic_lift(hoeffding_kernel(h, l), m) == want
 
 
 class TestConditionalExpectation:
@@ -209,6 +243,12 @@ class TestProject:
         h = random_module_vector(6, 3, 24)
         with pytest.raises(DomainError):
             project(h, 4)
+
+    def test_every_order_rejects_more_than_half_the_points(self):
+        h = ModuleVector(5, 3, range(10))
+        for l in range(4):
+            with pytest.raises(DomainError):
+                project(h, l)
 
 
 class TestDegeneracy:
