@@ -23,7 +23,7 @@ from .characters import (
     two_row_character,
 )
 from .combinatorics import (
-    DEFAULT_PERMUTATION_CEILING,
+    DEFAULT_ORACLE_CEILING,
     CycleType,
     Permutation,
     Subset,
@@ -48,10 +48,7 @@ from .fileformats import (
     save_module_vector,
 )
 from .hoeffding import (
-    DEFAULT_ORACLE_CEILING,
-    CoefficientTable,
     HoeffdingDecomposition,
-    character_projection_oracle,
     conditional_expectation,
     decompose,
     hoeffding_kernel,
@@ -62,10 +59,12 @@ from .hoeffding import (
 from .specht import polytabloid, specht_basis
 from .verify import (
     BenchResult,
+    CoefficientTable,
     Lcg64,
     RunConfig,
     VerificationReport,
     bench,
+    character_projection_oracle,
     random_module_vector,
     run_suites,
     verify_decomposition,
@@ -82,7 +81,6 @@ __all__ = [
     "CoefficientTable",
     "CycleType",
     "DEFAULT_ORACLE_CEILING",
-    "DEFAULT_PERMUTATION_CEILING",
     "DomainError",
     "HoeffdingDecomposition",
     "Lcg64",

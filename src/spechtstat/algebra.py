@@ -32,19 +32,28 @@ def _layer_size(n: int, l: int) -> int:
     return comb(n, l)
 
 
+def _check_entry(v: object) -> None:
+    # Only exact rationals: Fraction(v) would also take floats and arbitrary text.
+    if not isinstance(v, (int, Fraction)):
+        raise DomainError(f"vector entries must be int or Fraction, got {type(v).__name__}")
+
+
 class ModuleVector:
     """A rational-valued function on the l-subsets of [1..n].
 
     Stored as `numerators`, a tuple of ints in the canonical (lexicographic)
     subset order, over one `denominator` > 0 with gcd(denominator, *numerators)
     == 1; the zero vector has denominator 1.  `values` gives the entries as
-    `Fraction`s.  The vector is immutable and usable as a dict key.
+    `Fraction`s.  The vector is immutable and usable as a dict key.  Entries
+    passed in must be `int` or `Fraction`; anything else is a `DomainError`.
     """
 
     __slots__ = ("n", "l", "numerators", "denominator", "_values")
 
-    def __init__(self, n: int, l: int, values: Iterable):
-        vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    def __init__(self, n: int, l: int, values: Iterable[int | Fraction]):
+        vals = list(values)
+        for v in vals:
+            _check_entry(v)
         den = lcm(*(v.denominator for v in vals))
         self._set(n, l, [v.numerator * (den // v.denominator) for v in vals], den)
 
@@ -92,7 +101,8 @@ class ModuleVector:
         return cls.constant(n, l, 0)
 
     @classmethod
-    def constant(cls, n: int, l: int, c) -> "ModuleVector":
+    def constant(cls, n: int, l: int, c: int | Fraction) -> "ModuleVector":
+        _check_entry(c)
         c = Fraction(c)
         size = _layer_size(n, l)
         out = cls.from_numerators(n, l, [c.numerator] * size, c.denominator)

@@ -12,12 +12,12 @@ import sys
 from pathlib import Path
 
 from .characters import character_table, dimension
-from .combinatorics import standard_tableaux
+from .combinatorics import DEFAULT_ORACLE_CEILING, standard_tableaux
 from .errors import DomainError, ParseError, ResourceLimitError
 from .fileformats import load_module_vector, save_decomposition, save_module_vector
-from .hoeffding import DEFAULT_ORACLE_CEILING, decompose
+from .hoeffding import decompose
 from .specht import polytabloid
-from .verify import RunConfig, bench, run_suites
+from .verify import SUITES, RunConfig, bench, run_suites
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,11 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument(
-        "--suite",
-        choices=["all", "decomp", "equiv", "shift", "specht"],
-        default="all",
-    )
+    p.add_argument("--suite", choices=["all", *SUITES], default="all")
     p.add_argument("--report", type=Path, default=None, help="write a JSON report here")
 
     p = sub.add_parser("bench", parents=[ceiling], help="time the kernel route vs the n! oracle")

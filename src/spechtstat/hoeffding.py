@@ -2,14 +2,17 @@
 
 A statistic is a `ModuleVector` h on the m-subsets of [1..n], read as
 h(X(1), ..., X(m)) for the first m extractions without replacement.  This
-module computes, in exact rational arithmetic:
+module holds the kernel route and nothing else.  It computes, in exact
+rational arithmetic:
 
-  * the coefficient tables of the double-sum projection formula,
   * conditional expectations given any partial assignment of draws,
   * the order-l completely degenerate kernels and their U-statistic lifts,
-  * the orthogonal projections onto each symmetric Hoeffding space, and
-  * the brute-force character-projection oracle (a literal sum over all n!
-    permutations) against which the fast kernel route is verified.
+  * the orthogonal projections onto each symmetric Hoeffding space.
+
+The references it is checked against live apart from it, in `verify` (the
+n!-permutation character-projection oracle, the double sum with its
+`CoefficientTable`, the fixed-point route and the shift walk) and in the
+test suite's own oracles.
 
 The kernel route runs on Python ints over one common denominator D, the lcm
 of the input's denominators, with two inclusion-matrix operators between
@@ -24,7 +27,7 @@ denominator; no `Fraction` is made per entry.
 The chain's coefficients are integers in closed form (see
 `_chain_coefficients`): k(l, a) = (-1)^(l-a) C(m-a, l-a) perm(n-l+1, a) over
 M_l = C(n-2l, m-l) perm(n-l+1, l).  It rests on two identities for the
-`CoefficientTable` recursion, weight(l, j) = (-1)^(l-j) C(n-j, l-j) /
+`verify.CoefficientTable` recursion, weight(l, j) = (-1)^(l-j) C(n-j, l-j) /
 C(n-l-j+1, l-j) and ratio(l, j) = C(n-j, l-j) / C(n-2j, l-j).  The route
 itself never builds that table; the double-sum oracle in `verify` does, so
 the two check each other.
@@ -33,87 +36,19 @@ the two check each other.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, perm
-from operator import mul
 from typing import Iterable, Iterator
 
 from .algebra import ModuleVector
-from .characters import dimension, two_row_character
-from .combinatorics import (
-    CycleType,
-    Subset,
-    check_subset,
-    enumerate_permutations,
-    enumerate_subsets,
-    subset_images,
-    subset_index,
-)
-from .errors import DomainError, ResourceLimitError
-
-#: A projection via the n!-permutation oracle is refused above this n unless overridden.
-DEFAULT_ORACLE_CEILING = 8
-
-_ZERO = Fraction(0)
+from .combinatorics import Subset, check_subset, enumerate_subsets, subset_index
+from .errors import DomainError
 
 
 def _check_shape(n: int, m: int) -> None:
     if m < 1 or 2 * m > n:
         raise DomainError(f"need 1 <= m <= n/2, got n={n}, m={m}")
-
-
-class CoefficientTable:
-    """The rational coefficients that turn centered conditional expectations
-    into completely degenerate kernels, for statistics of m draws from [1..n].
-
-    ratio(l, j) is a product of factors (n-r)/(n-r-j); weight(l, j) follows a
-    signed binomial recursion with unit diagonal.  Both families have
-    ratio(l, l) = weight(l, l) = 1.  The kernel route uses their closed form
-    instead; this recursion is the double-sum oracle's own derivation.
-    """
-
-    __slots__ = ("n", "m", "_ratio", "_weight")
-
-    def __init__(self, n: int, m: int):
-        _check_shape(n, m)
-        self.n = n
-        self.m = m
-        ratio: dict[tuple[int, int], Fraction] = {}
-        weight: dict[tuple[int, int], Fraction] = {}
-        for l in range(1, m + 1):
-            ratio[l, l] = Fraction(1)
-            weight[l, l] = Fraction(1)
-            for j in range(1, l):
-                prod = Fraction(1)
-                for r in range(j, l):
-                    prod *= Fraction(n - r, n - r - j)
-                ratio[l, j] = prod
-        for l in range(2, m + 1):
-            for j in range(1, l):
-                acc = _ZERO
-                for i in range(j, l):
-                    acc += comb(l - j, i - j) * ratio[l, i] * weight[i, j]
-                weight[l, j] = -acc
-        self._ratio = ratio
-        self._weight = weight
-
-    def ratio(self, l: int, j: int) -> Fraction:
-        self._check(l, j)
-        return self._ratio[l, j]
-
-    def weight(self, l: int, j: int) -> Fraction:
-        self._check(l, j)
-        return self._weight[l, j]
-
-    def _check(self, l: int, j: int) -> None:
-        if not (1 <= j <= l <= self.m):
-            raise DomainError(f"indices (l={l}, j={j}) outside 1 <= j <= l <= {self.m}")
-
-    def __repr__(self) -> str:
-        return f"CoefficientTable(n={self.n}, m={self.m})"
 
 
 def conditional_expectation(h: ModuleVector, assigned: Subset) -> Fraction:
@@ -321,71 +256,3 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
         kernels[l] = ModuleVector.from_numerators(n, l, v, scale)
         components[l] = kernels[l] if l == m else _component(n, m, l, v, scale, faces)
     return HoeffdingDecomposition(n, m, mean, kernels, components)
-
-
-@lru_cache(maxsize=None)
-def _orbit_counts(n: int, m: int) -> dict[CycleType, Counter]:
-    """For each cycle type ct, a Counter of the position pairs (K, J) with the
-    number of permutations of type ct that map the m-subset J onto K.
-
-    One literal walk over all n! permutations per (n, m), shared by every order l.
-    """
-    counts: defaultdict[CycleType, Counter] = defaultdict(Counter)
-    positions = range(comb(n, m))
-    for x in enumerate_permutations(n, ceiling=None):
-        counts[x.cycle_type()].update(zip(subset_images(x, m), positions))
-    return dict(counts)
-
-
-@lru_cache(maxsize=None)
-def _projection_weights(n: int, m: int, l: int) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix W with W[K][J] = sum of chi_{(n-l,l)}(x) over all x mapping J to K.
-
-    Assembled as the sum over cycle types ct of chi_{(n-l,l)}(ct) times the
-    permutation counts of `_orbit_counts`, so that the n! walk happens once per
-    (n, m), grouped by cycle type, whatever the number of orders l asked for.
-    The caller applies W to a vector and scales by dimension/n!.
-    """
-    size = comb(n, m)
-    weights = [[0] * size for _ in range(size)]
-    for ct, cnt in _orbit_counts(n, m).items():
-        chi = two_row_character(n, l, ct)
-        if chi:
-            for (k, j), c in cnt.items():
-                weights[k][j] += chi * c
-    return tuple(tuple(row) for row in weights)
-
-
-def character_projection_oracle(
-    f: ModuleVector, l: int, ceiling: int | None = DEFAULT_ORACLE_CEILING
-) -> ModuleVector:
-    """Isotypic projection of f by direct group averaging over all n! permutations:
-
-        (dimension/n!) * sum over x of chi_{(n-l,l)}(x) * f(x^{-1} K)
-
-    at every m-subset K.  Factorial cost by design: this is the slow oracle the
-    kernel route is checked against.  The n! walk is done once per (n, m) and
-    grouped by cycle type (see `_projection_weights`); the weights are applied to
-    f's integer numerators over its denominator.  Refuses n above `ceiling`.
-    """
-    n, m = f.n, f.l
-    if l < 0 or l > m:
-        raise DomainError(f"projection order l={l} outside [0..{m}]")
-    if ceiling is not None and n > ceiling:
-        raise ResourceLimitError(
-            f"oracle projection at n={n} exceeds the ceiling {ceiling}; "
-            f"pass ceiling={n} (or None) to override"
-        )
-    weights = _projection_weights(n, m, l)
-    nums, dim = f.numerators, dimension(n, l)
-    out = [dim * sum(map(mul, row, nums)) for row in weights]
-    return ModuleVector.from_numerators(n, m, out, factorial(n) * f.denominator)
-
-
-def clear_oracle_cache() -> None:
-    """Drop the memoized permutation counts and weight matrices.
-
-    Used when timing the oracle honestly.
-    """
-    _orbit_counts.cache_clear()
-    _projection_weights.cache_clear()

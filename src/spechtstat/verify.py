@@ -2,18 +2,28 @@
 
 Each suite takes a `RunConfig`, generates reproducible pseudorandom inputs,
 and asserts exact rational identities (zero tolerance everywhere).  A
-`VerificationReport` collects named pass/fail checks; rendering a report is
+`VerificationReport` records named pass/fail checks; rendering a report is
 deterministic, so identical configurations produce byte-identical output.
+
+This module is also the home of the library's reference computations, kept
+apart from the kernel route in `hoeffding` that they check and sharing none
+of its code: the n!-permutation `character_projection_oracle` (with its
+caches and `clear_oracle_cache`), the double sum built on `CoefficientTable`,
+the order-1 fixed-point route and the shift suite's n! walk.  The suites
+that walk S_n refuse n above `RunConfig.brute_force_ceiling`, the oracle
+above its `ceiling`; both default to `combinatorics.DEFAULT_ORACLE_CEILING`.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
+from operator import mul
 
 from .algebra import (
     ModuleVector,
@@ -22,8 +32,10 @@ from .algebra import (
     inner_product,
     rank_of_span,
 )
-from .characters import dimension
+from .characters import dimension, two_row_character
 from .combinatorics import (
+    DEFAULT_ORACLE_CEILING,
+    CycleType,
     Permutation,
     Tableau,
     enumerate_permutations,
@@ -34,10 +46,6 @@ from .combinatorics import (
 from .errors import DomainError, ResourceLimitError
 from .fileformats import module_vector_to_text
 from .hoeffding import (
-    DEFAULT_ORACLE_CEILING,
-    CoefficientTable,
-    character_projection_oracle,
-    clear_oracle_cache,
     conditional_expectation,
     decompose,
     is_completely_degenerate,
@@ -46,6 +54,11 @@ from .hoeffding import (
 from .specht import polytabloid, specht_basis
 
 _ZERO = Fraction(0)
+
+
+def _check_shape(n: int, m: int) -> None:
+    if m < 1 or 2 * m > n:
+        raise DomainError(f"need 1 <= m <= n/2, got n={n}, m={m}")
 
 
 class Lcg64:
@@ -111,8 +124,7 @@ class RunConfig:
     brute_force_ceiling: int = DEFAULT_ORACLE_CEILING
 
     def __post_init__(self):
-        if self.m < 1 or 2 * self.m > self.n:
-            raise DomainError(f"need 1 <= m <= n/2, got n={self.n}, m={self.m}")
+        _check_shape(self.n, self.m)
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.trials < 1:
@@ -134,6 +146,26 @@ class VerificationReport:
     seed: int
     trials: int
     checks: list[CheckResult] = field(default_factory=list)
+    _instances: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def record(self, name: str, passed: bool, detail: str = "") -> None:
+        """Record one instance of the check `name`, listed in order of first record.
+
+        A check passes while every instance passes; it then reads "k/k
+        instances" once k > 1 were recorded.  A failed check keeps the detail
+        of its first failing instance.
+        """
+        total = self._instances.get(name, 0) + 1
+        self._instances[name] = total
+        if total == 1:
+            self.checks.append(CheckResult(name, passed, "" if passed else detail))
+            return
+        check = next(c for c in self.checks if c.name == name)
+        if check.passed:
+            check.passed = passed
+            check.detail = f"{total}/{total} instances" if passed else detail
 
     @property
     def ok(self) -> bool:
@@ -168,31 +200,6 @@ class VerificationReport:
         }
 
 
-class _Collector:
-    """Aggregates per-trial outcomes into one named check with first-failure detail."""
-
-    def __init__(self):
-        self.records: dict[str, CheckResult] = {}
-        self.counts: dict[str, tuple[int, int]] = {}
-
-    def record(self, name: str, passed: bool, detail: str = "") -> None:
-        good, total = self.counts.get(name, (0, 0))
-        self.counts[name] = (good + (1 if passed else 0), total + 1)
-        if name not in self.records:
-            self.records[name] = CheckResult(name, passed, detail if not passed else "")
-        elif not passed and self.records[name].passed:
-            self.records[name] = CheckResult(name, False, detail)
-
-    def results(self) -> list[CheckResult]:
-        out = []
-        for name, result in self.records.items():
-            good, total = self.counts[name]
-            if result.passed and total > 1:
-                result = CheckResult(name, True, f"{good}/{total} instances")
-            out.append(result)
-        return out
-
-
 def _offending(trial: int, text: str, note: str = "") -> str:
     # text is the trial's input as `module_vector_to_text` writes it, formatted
     # once per trial and shown only when a check fails.
@@ -205,12 +212,11 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
     and the covariance expansion, on seeded random vectors."""
     n, m = config.n, config.m
     report = VerificationReport("decomp", n, m, config.seed, config.trials)
-    col = _Collector()
     gen = Lcg64(config.seed)
 
     const = ModuleVector.constant(n, m, Fraction(7, 3))
     dec_const = decompose(const)
-    col.record(
+    report.record(
         "constant_input_zero_components",
         all(dec_const.components[l].is_zero() for l in range(1, m + 1))
         and all(dec_const.kernels[l].is_zero() for l in range(1, m + 1))
@@ -226,17 +232,17 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
         text = module_vector_to_text(h)
         where = _offending(trial, text)
 
-        col.record("reconstruction", dec_h.reconstruction() == h, where)
+        report.record("reconstruction", dec_h.reconstruction() == h, where)
 
         ortho = all(
             inner_product(dec_h.components[i], dec_h.components[j]) == 0
             for i in range(m + 1)
             for j in range(i + 1, m + 1)
         )
-        col.record("component_orthogonality", ortho, where)
+        report.record("component_orthogonality", ortho, where)
 
         degen = all(is_completely_degenerate(dec_h.kernels[l]) for l in range(1, m + 1))
-        col.record("kernel_degeneracy", degen, where)
+        report.record("kernel_degeneracy", degen, where)
 
         idem = True
         for l in range(m + 1):
@@ -245,7 +251,7 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
                 want = dec_h.components[l] if j == l else zero
                 if again.components[j] != want:
                     idem = False
-        col.record("projection_idempotence", idem, where)
+        report.record("projection_idempotence", idem, where)
 
         lhs = inner_product(h, f)
         rhs = dec_h.mean * dec_f.mean + sum(
@@ -255,10 +261,60 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
             ),
             _ZERO,
         )
-        col.record("covariance_expansion", lhs == rhs, _offending(trial, text, "paired input"))
+        report.record("covariance_expansion", lhs == rhs, _offending(trial, text, "paired input"))
 
-    report.checks = col.results()
     return report
+
+
+class CoefficientTable:
+    """The rational coefficients that turn centered conditional expectations
+    into completely degenerate kernels, for statistics of m draws from [1..n].
+
+    ratio(l, j) is a product of factors (n-r)/(n-r-j); weight(l, j) follows a
+    signed binomial recursion with unit diagonal.  Both families have
+    ratio(l, l) = weight(l, l) = 1.  The kernel route uses their closed form
+    instead; this recursion is the double-sum oracle's own derivation.
+    """
+
+    __slots__ = ("n", "m", "_ratio", "_weight")
+
+    def __init__(self, n: int, m: int):
+        _check_shape(n, m)
+        self.n = n
+        self.m = m
+        ratio: dict[tuple[int, int], Fraction] = {}
+        weight: dict[tuple[int, int], Fraction] = {}
+        for l in range(1, m + 1):
+            ratio[l, l] = Fraction(1)
+            weight[l, l] = Fraction(1)
+            for j in range(1, l):
+                prod = Fraction(1)
+                for r in range(j, l):
+                    prod *= Fraction(n - r, n - r - j)
+                ratio[l, j] = prod
+        for l in range(2, m + 1):
+            for j in range(1, l):
+                acc = _ZERO
+                for i in range(j, l):
+                    acc += comb(l - j, i - j) * ratio[l, i] * weight[i, j]
+                weight[l, j] = -acc
+        self._ratio = ratio
+        self._weight = weight
+
+    def ratio(self, l: int, j: int) -> Fraction:
+        self._check(l, j)
+        return self._ratio[l, j]
+
+    def weight(self, l: int, j: int) -> Fraction:
+        self._check(l, j)
+        return self._weight[l, j]
+
+    def _check(self, l: int, j: int) -> None:
+        if not (1 <= j <= l <= self.m):
+            raise DomainError(f"indices (l={l}, j={j}) outside 1 <= j <= l <= {self.m}")
+
+    def __repr__(self) -> str:
+        return f"CoefficientTable(n={self.n}, m={self.m})"
 
 
 def _double_sum_values(f: ModuleVector, l: int) -> ModuleVector:
@@ -292,6 +348,74 @@ def _double_sum_values(f: ModuleVector, l: int) -> ModuleVector:
     return ModuleVector(n, m, out)
 
 
+@lru_cache(maxsize=None)
+def _orbit_counts(n: int, m: int) -> dict[CycleType, Counter]:
+    """For each cycle type ct, a Counter of the position pairs (K, J) with the
+    number of permutations of type ct that map the m-subset J onto K.
+
+    One literal walk over all n! permutations per (n, m), shared by every order l.
+    """
+    counts: defaultdict[CycleType, Counter] = defaultdict(Counter)
+    positions = range(comb(n, m))
+    for x in enumerate_permutations(n, ceiling=None):
+        counts[x.cycle_type()].update(zip(subset_images(x, m), positions))
+    return dict(counts)
+
+
+@lru_cache(maxsize=None)
+def _projection_weights(n: int, m: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix W with W[K][J] = sum of chi_{(n-l,l)}(x) over all x mapping J to K.
+
+    Assembled as the sum over cycle types ct of chi_{(n-l,l)}(ct) times the
+    permutation counts of `_orbit_counts`, so that the n! walk happens once per
+    (n, m), grouped by cycle type, whatever the number of orders l asked for.
+    The caller applies W to a vector and scales by dimension/n!.
+    """
+    size = comb(n, m)
+    weights = [[0] * size for _ in range(size)]
+    for ct, cnt in _orbit_counts(n, m).items():
+        chi = two_row_character(n, l, ct)
+        if chi:
+            for (k, j), c in cnt.items():
+                weights[k][j] += chi * c
+    return tuple(tuple(row) for row in weights)
+
+
+def character_projection_oracle(
+    f: ModuleVector, l: int, ceiling: int | None = DEFAULT_ORACLE_CEILING
+) -> ModuleVector:
+    """Isotypic projection of f by direct group averaging over all n! permutations:
+
+        (dimension/n!) * sum over x of chi_{(n-l,l)}(x) * f(x^{-1} K)
+
+    at every m-subset K.  Factorial cost by design: this is the slow oracle the
+    kernel route is checked against.  The n! walk is done once per (n, m) and
+    grouped by cycle type (see `_projection_weights`); the weights are applied to
+    f's integer numerators over its denominator.  Refuses n above `ceiling`.
+    """
+    n, m = f.n, f.l
+    if l < 0 or l > m:
+        raise DomainError(f"projection order l={l} outside [0..{m}]")
+    if ceiling is not None and n > ceiling:
+        raise ResourceLimitError(
+            f"oracle projection at n={n} exceeds the ceiling {ceiling}; "
+            f"pass ceiling={n} (or None) to override"
+        )
+    weights = _projection_weights(n, m, l)
+    nums, dim = f.numerators, dimension(n, l)
+    out = [dim * sum(map(mul, row, nums)) for row in weights]
+    return ModuleVector.from_numerators(n, m, out, factorial(n) * f.denominator)
+
+
+def clear_oracle_cache() -> None:
+    """Drop the memoized permutation counts and weight matrices.
+
+    Used when timing the oracle honestly.
+    """
+    _orbit_counts.cache_clear()
+    _projection_weights.cache_clear()
+
+
 def _fixed_point_route(f: ModuleVector) -> ModuleVector:
     # Order-1 projection via the explicit fixed-point count weighting
     # (fix(x) - 1), summed over all n! permutations on f's integer numerators.
@@ -317,7 +441,6 @@ def verify_equivalence(config: RunConfig) -> VerificationReport:
             f"{config.brute_force_ceiling}"
         )
     report = VerificationReport("equiv", n, m, config.seed, config.trials)
-    col = _Collector()
     gen = Lcg64(config.seed)
 
     for trial in range(config.trials):
@@ -328,20 +451,20 @@ def verify_equivalence(config: RunConfig) -> VerificationReport:
         for l in range(m + 1):
             slow = character_projection_oracle(f, l, ceiling=config.brute_force_ceiling)
             oracle_sum = oracle_sum + slow
-            col.record(
+            report.record(
                 f"oracle_equals_projection_l{l}",
                 slow == fast.components[l],
                 where,
             )
             if l >= 1:
-                col.record(
+                report.record(
                     f"oracle_equals_double_sum_l{l}",
                     slow == _double_sum_values(f, l),
                     where,
                 )
-        col.record("oracle_components_sum_to_input", oracle_sum == f, where)
+        report.record("oracle_components_sum_to_input", oracle_sum == f, where)
         if trial == 0:
-            col.record(
+            report.record(
                 "order1_fixed_point_weighting",
                 _fixed_point_route(f) == fast.components[1],
                 where,
@@ -350,13 +473,12 @@ def verify_equivalence(config: RunConfig) -> VerificationReport:
     comps_by_subset = [decompose(indicator(n, K)).components for K in enumerate_subsets(n, m)]
     for l in range(m + 1):
         rank = rank_of_span([c[l] for c in comps_by_subset])
-        col.record(
+        report.record(
             f"projection_image_rank_l{l}",
             rank == dimension(n, l),
             f"rank {rank}, expected {dimension(n, l)}",
         )
 
-    report.checks = col.results()
     return report
 
 
@@ -371,7 +493,6 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
             f"{config.brute_force_ceiling}"
         )
     report = VerificationReport("shift", n, m, config.seed, config.trials)
-    col = _Collector()
     gen = Lcg64(config.seed)
 
     # For each overlap r, how many permutations x send (base, k_r) to each pair
@@ -409,7 +530,7 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
                 if l == j:
                     continue
                 for r in range(m + 1):
-                    col.record(
+                    report.record(
                         f"shifted_orthogonality_j{j}_l{l}_r{r}",
                         pair_sum(r, fc[j], hc[l]) == 0,
                         _offending(trial, text, f"j={j} l={l} r={r}"),
@@ -419,13 +540,12 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
         # so it must be strictly positive for any nonzero component.  The suite
         # asserts nothing about same-order shifted sums beyond this.
         witness = [fv for fv in fc if any(fv)]
-        col.record(
+        report.record(
             "negative_control_same_order_norm_positive",
             bool(witness) and all(pair_sum(m, fv, fv) > 0 for fv in witness),
             _offending(trial, text),
         )
 
-    report.checks = col.results()
     return report
 
 
@@ -434,7 +554,6 @@ def verify_specht(config: RunConfig) -> VerificationReport:
     between lifted standard polytabloids and the projection image."""
     n, m = config.n, config.m
     report = VerificationReport("specht", n, m, config.seed, config.trials)
-    col = _Collector()
     gen = Lcg64(config.seed)
 
     # Worked four-term example: the (4,2)-shape polytabloid of ((1,2,3,4);(5,6)).
@@ -445,12 +564,12 @@ def verify_specht(config: RunConfig) -> VerificationReport:
         - indicator(6, (2, 5))
         + indicator(6, (1, 2))
     )
-    col.record("polytabloid_four_term_example", polytabloid(t0) == expected)
+    report.record("polytabloid_four_term_example", polytabloid(t0) == expected)
 
     bases = {l: specht_basis(n, l) for l in range(1, m + 1)}
     for l, basis in bases.items():
         rank = rank_of_span(basis)
-        col.record(
+        report.record(
             f"specht_basis_rank_l{l}",
             len(basis) == dimension(n, l) and rank == dimension(n, l),
             f"{len(basis)} polytabloids, rank {rank}, expected {dimension(n, l)}",
@@ -461,12 +580,12 @@ def verify_specht(config: RunConfig) -> VerificationReport:
         arrangement = gen.shuffle(list(range(1, n + 1)))
         t = Tableau(tuple(arrangement[: n - m]), tuple(arrangement[n - m :]))
         pt = polytabloid(t)
-        col.record(
+        report.record(
             "polytabloid_equivariance",
             polytabloid(t.apply(x)) == act(x, pt),
             f"trial {trial}; x={list(x.images)}, tableau={t.text()}",
         )
-        col.record(
+        report.record(
             "lift_equivariance",
             u_statistic_lift(act(x, pt), m) == act(x, u_statistic_lift(pt, m)),
             f"trial {trial}; x={list(x.images)}, tableau={t.text()}",
@@ -478,13 +597,12 @@ def verify_specht(config: RunConfig) -> VerificationReport:
         image = [c[l] for c in comps_by_subset]
         want = dimension(n, l)
         ranks = (rank_of_span(lifted), rank_of_span(image), rank_of_span(lifted + image))
-        col.record(
+        report.record(
             f"lifted_specht_equals_projection_image_l{l}",
             ranks == (want, want, want),
             f"ranks {ranks}, expected all {want}",
         )
 
-    report.checks = col.results()
     return report
 
 

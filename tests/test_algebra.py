@@ -57,6 +57,17 @@ class TestModuleVector:
         with pytest.raises(DomainError):
             f[(1, 2, 3)]
 
+    @pytest.mark.parametrize("bad", [0.1, "1/2", "2.5", "1e4000000", None])
+    def test_entries_are_int_or_fraction_only(self, bad):
+        # Fraction(v) would take the float as 3602879701896397/36028797018963968
+        # and expand the exponent string into a 13-Mbit integer.
+        with pytest.raises(DomainError, match="int or Fraction"):
+            ModuleVector(2, 1, [bad, 1])
+        with pytest.raises(DomainError, match="int or Fraction"):
+            ModuleVector.constant(2, 1, bad)
+        with pytest.raises(DomainError, match="int or Fraction"):
+            ModuleVector.from_mapping(2, 1, {(1,): bad})
+
     def test_wrong_value_count(self):
         with pytest.raises(DomainError):
             ModuleVector(4, 2, [1, 2, 3])

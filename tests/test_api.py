@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 
 import pytest
 
@@ -6,7 +8,7 @@ import spechtstat
 
 SURVIVING = [
     "BenchResult", "CharacterTable", "CoefficientTable", "CycleType",
-    "DEFAULT_ORACLE_CEILING", "DEFAULT_PERMUTATION_CEILING", "DomainError",
+    "DEFAULT_ORACLE_CEILING", "DomainError",
     "HoeffdingDecomposition", "Lcg64", "ModuleVector", "ParseError", "Permutation",
     "ResourceLimitError", "RunConfig", "Subset", "Tableau", "Tabloid",
     "VerificationReport", "act", "apply_perm_to_subset", "bench",
@@ -26,6 +28,7 @@ SURVIVING = [
 DELETED = [
     "Rational", "GramMatrix", "cycle_type", "tabloid_of", "columns",
     "ColumnOperator", "lift_to_hoeffding", "coefficient_table",
+    "DEFAULT_PERMUTATION_CEILING",
 ]
 
 MODULES = [
@@ -45,3 +48,19 @@ def test_all_is_the_surviving_surface():
 def test_deleted_names_are_gone(module):
     mod = importlib.import_module(module)
     assert [name for name in DELETED if hasattr(mod, name)] == []
+
+
+def test_hoeffding_holds_only_the_kernel_route():
+    # The references live in `verify`, apart from the route they check.
+    hoeffding = importlib.import_module("spechtstat.hoeffding")
+    tree = ast.parse(inspect.getsource(hoeffding))
+    imported = {node.module.rpartition(".")[2] for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    imported |= {alias.name.rpartition(".")[2] for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names}
+    assert imported.isdisjoint({"characters", "verify"})
+    moved = [
+        "CoefficientTable", "character_projection_oracle", "clear_oracle_cache",
+        "_orbit_counts", "_projection_weights", "enumerate_permutations", "subset_images",
+    ]
+    assert [name for name in moved if hasattr(hoeffding, name)] == []

@@ -15,6 +15,7 @@ from spechtstat import (
     save_module_vector,
     standard_tableaux,
 )
+from spechtstat import verify
 from spechtstat.cli import main
 
 
@@ -180,6 +181,20 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "trials must be at least 1" in captured.err
         assert "PASS" not in captured.out
+
+    def test_suite_choices_are_the_registered_suites(self, monkeypatch, capsys):
+        def extra(config):
+            report = verify.VerificationReport("extra", config.n, config.m, config.seed, 1)
+            report.record("registered", True)
+            return report
+
+        monkeypatch.setitem(verify.SUITES, "extra", extra)
+        assert main(["verify", "--n", "4", "--m", "2", "--suite", "extra"]) == 0
+        assert "suite extra:" in capsys.readouterr().out
+        assert main(["verify", "--n", "4", "--m", "2", "--suite", "bogus"]) == 2
+        assert "choose from 'all', 'decomp', 'equiv', 'shift', 'specht', 'extra'" in (
+            capsys.readouterr().err
+        )
 
     def test_ceiling_guard(self, capsys):
         assert main(["verify", "--n", "9", "--m", "2", "--trials", "1", "--suite", "equiv"]) == 2

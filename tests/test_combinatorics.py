@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_fixed_subset_count
 from spechtstat import (
+    DEFAULT_ORACLE_CEILING,
     DomainError,
     Permutation,
     ResourceLimitError,
@@ -236,9 +237,20 @@ class TestEnumeratePermutations:
         assert len(perms) == 120
         assert len(set(perms)) == 120
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_validated_permutations_in_lex_order(self, n):
+        want = [Permutation(t) for t in itertools.permutations(range(1, n + 1))]
+        assert list(enumerate_permutations(n)) == want
+
     def test_ceiling_raises_at_call_time(self):
         with pytest.raises(ResourceLimitError):
             enumerate_permutations(10)
+
+    def test_default_ceiling_is_the_oracle_ceiling(self):
+        assert DEFAULT_ORACLE_CEILING == 8
+        with pytest.raises(ResourceLimitError):
+            enumerate_permutations(9)
+        assert next(enumerate_permutations(9, ceiling=9)) == Permutation.identity(9)
 
     def test_ceiling_override_is_lazy(self):
         gen = enumerate_permutations(10, ceiling=None)

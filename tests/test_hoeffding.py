@@ -33,8 +33,8 @@ from spechtstat import (
     two_row_character,
     u_statistic_lift,
 )
-from spechtstat import hoeffding
-from spechtstat.hoeffding import clear_oracle_cache
+from spechtstat import hoeffding, verify
+from spechtstat.verify import clear_oracle_cache
 
 
 # Inputs at the edges of the common denominator D of the integer passes.
@@ -106,7 +106,8 @@ def test_kernel_route_never_builds_the_coefficient_table(monkeypatch):
     def refuse(n, m):
         raise AssertionError("the kernel route built a CoefficientTable")
 
-    monkeypatch.setattr(hoeffding, "CoefficientTable", refuse)
+    assert not hasattr(hoeffding, "CoefficientTable")
+    monkeypatch.setattr(verify, "CoefficientTable", refuse)
     n, m = 8, 4
     h = random_module_vector(n, m, 41)
     dec = decompose(h)
@@ -366,7 +367,7 @@ class TestOracle:
             assert character_projection_oracle(f, l) == brute_isotypic_projection(f, l, chi)
 
     def test_clear_oracle_cache_empties_every_oracle_cache(self):
-        caches = (hoeffding._orbit_counts, hoeffding._projection_weights)
+        caches = (verify._orbit_counts, verify._projection_weights)
         character_projection_oracle(random_module_vector(5, 2, 34), 1)
         assert all(c.cache_info().currsize > 0 for c in caches)
         clear_oracle_cache()

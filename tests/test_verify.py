@@ -219,6 +219,24 @@ class TestReportRendering:
         assert report.render().endswith("result: FAIL (0/0 checks)\n")
         assert report.to_json_dict()["ok"] is False
 
+    def test_record_aggregates_instances_in_first_record_order(self):
+        report = VerificationReport("demo", 4, 2, 0, 3)
+        for trial in range(3):
+            report.record("always", True, f"trial {trial}")
+            report.record("no_detail", True)
+            report.record("late", trial < 1, f"trial {trial}")
+            report.record("early", trial > 0, f"trial {trial}")
+        report.record("single", True, "unused")
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+            ("always", True, "3/3 instances"),
+            ("no_detail", True, "3/3 instances"),
+            ("late", False, "trial 1"),
+            ("early", False, "trial 0"),
+            ("single", True, ""),
+        ]
+        assert not report.ok
+        assert "result: FAIL (3/5 checks)" in report.render()
+
     def test_json_dict(self):
         report = VerificationReport("demo", 4, 2, 0, 1)
         report.checks = [CheckResult("good", True, "1/1 instances")]
