@@ -18,11 +18,15 @@ The kernel route runs on Python ints over one common denominator D, the lcm
 of the input's denominators, with two inclusion-matrix operators between
 adjacent subset layers: the down pass (sum over the supersets with one more
 point) and the up pass (sum over the subsets with one point fewer).  Each
-pass into or out of layer b costs C(n, b) * b integer adds.  Down passes
-give the superset sums behind every conditional expectation; one Horner
-chain of up passes per order l gives the kernel, and m - l more give its
-component.  Each output vector is built from its integer numerators and one
-denominator; no `Fraction` is made per entry.
+pass into or out of layer b costs C(n, b) * b integer adds.  Both read layer
+b's face table, built once per (n, b) and held in a bounded cache in column
+form: b tuples, column k listing the position of each b-subset minus its k-th
+point.  An up pass is b C-level gathers over the columns, and a down pass
+scatters over the same columns.  Down passes give the superset sums behind
+every conditional expectation; one Horner chain of up passes per order l
+gives the kernel, and m - l more give its component.  Each output vector is
+built from its integer numerators and one denominator; no `Fraction` is made
+per entry.
 
 The chain's coefficients are integers in closed form (see
 `_chain_coefficients`): k(l, a) = (-1)^(l-a) C(m-a, l-a) perm(n-l+1, a) over
@@ -35,10 +39,12 @@ the two check each other.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, combinations, repeat
 from math import comb, factorial, perm
+from operator import add
 from typing import Iterable, Iterator
 
 from .algebra import ModuleVector
@@ -67,50 +73,58 @@ def conditional_expectation(h: ModuleVector, assigned: Subset) -> Fraction:
     idx = subset_index(n, m)
     nums = h.numerators
     total = 0
-    for extra in itertools.combinations(complement, m - a):
+    for extra in combinations(complement, m - a):
         total += nums[idx[tuple(sorted(assigned + extra))]]
     return Fraction(total, h.denominator * comb(n - a, m - a))
 
 
-def _face_table(n: int, b: int) -> list[list[int]]:
-    """For each b-subset B in canonical order, the positions of its b faces B minus one point."""
-    idx = subset_index(n, b - 1)
-    return [
-        list(map(idx.__getitem__, itertools.combinations(B, b - 1)))
-        for B in enumerate_subsets(n, b)
-    ]
+@lru_cache(maxsize=16)
+def _face_columns(n: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Layer b's face table in column form: b tuples of length C(n, b).
+
+    Column k holds, for each b-subset B in canonical order, the position of B
+    minus its k-th point among the (b-1)-subsets.  Built once per (n, b) and
+    held in an LRU cache of fixed maxsize 16, which covers every layer of one
+    `decompose` with m <= 16.
+    """
+    get = subset_index(n, b - 1).__getitem__
+    faces = chain.from_iterable(map(combinations, enumerate_subsets(n, b), repeat(b - 1)))
+    flat = list(map(get, faces))  # row by row; combinations drops the last point first
+    return tuple(tuple(flat[b - 1 - k :: b]) for k in range(b))
 
 
-def _up(lower: list[int], faces: list[list[int]]) -> list[int]:
-    """The up operator: (up V)(B) = sum of V over the faces of B.  C(n,b)*b integer adds."""
+def _up(lower: list[int], cols: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The up operator: (up V)(B) = sum of V over the faces of B.  b gathers, C(n,b)*b adds."""
     get = lower.__getitem__
-    return [sum(map(get, fs)) for fs in faces]
-
-
-def _down(upper: list[int], faces: list[list[int]], size: int) -> list[int]:
-    """The down operator, transpose of `_up`: (down V)(A) = sum of V(A ∪ {j}) over j outside A."""
-    out = [0] * size
-    for v, fs in zip(upper, faces):
-        if v:
-            for i in fs:
-                out[i] += v
+    out = list(map(get, cols[0]))
+    for col in cols[1:]:
+        out = list(map(add, out, map(get, col)))
     return out
 
 
-def _superset_sums(h: ModuleVector) -> tuple[int, dict[int, list[list[int]]], list]:
-    """Down passes: D, the face tables of layers 1..m, and S_a for a = 0..m.
+def _down(upper: list[int], cols: tuple[tuple[int, ...], ...], size: int) -> list[int]:
+    """The down operator, transpose of `_up`: (down V)(A) = sum of V(A ∪ {j}) over j outside A."""
+    out = [0] * size
+    for col in cols:
+        for i, v in zip(col, upper):
+            out[i] += v
+    return out
+
+
+def _superset_sums(h: ModuleVector) -> tuple[int, list[list[int]]]:
+    """Down passes: D and S_a for a = 0..m.
 
     S_a(A) is D times the sum of h over the m-subsets containing A, so that
     conditional_expectation(h, A) = S_a(A) / (D * C(n-a, m-a)).  Each step
     divides the down pass exactly by m - a, the number of ways to add a point.
     """
     n, m = h.n, h.l
-    faces = {b: _face_table(n, b) for b in range(1, m + 1)}
     sums = [h.numerators]
     for a in range(m - 1, -1, -1):
-        sums.append([s // (m - a) for s in _down(sums[-1], faces[a + 1], comb(n, a))])
+        down = _down(sums[-1], _face_columns(n, a + 1), comb(n, a))
+        sums.append([s // (m - a) for s in down])
     sums.reverse()
-    return h.denominator, faces, sums
+    return h.denominator, sums
 
 
 def _chain_coefficients(n: int, m: int, l: int) -> tuple[int, list[int]]:
@@ -130,33 +144,28 @@ def _chain_coefficients(n: int, m: int, l: int) -> tuple[int, list[int]]:
     return comb(n - 2 * l, m - l) * perm(top, l), coeffs
 
 
-def _chains(
-    h: ModuleVector, orders: Iterable[int]
-) -> Iterator[tuple[int, list[int], int, dict[int, list[list[int]]]]]:
+def _chains(h: ModuleVector, orders: Iterable[int]) -> Iterator[tuple[int, list[int], int]]:
     """Check h's shape, run its down passes once, then one Horner chain per order l.
 
-    Yields (l, v, scale, faces): v / scale is the order-l kernel on the l-subsets,
-    built from V_0 = k(l,0) * S_0 by V_{a+1} = up(V_a) + k(l,a+1) * S_{a+1}, and
-    faces are the face tables of layers 1..m for the lift.
+    Yields (l, v, scale): v / scale is the order-l kernel on the l-subsets,
+    built from V_0 = k(l,0) * S_0 by V_{a+1} = up(V_a) + k(l,a+1) * S_{a+1}.
     """
     n, m = h.n, h.l
     _check_shape(n, m)
-    den, faces, sums = _superset_sums(h)
+    den, sums = _superset_sums(h)
     for l in orders:
         mult, coeffs = _chain_coefficients(n, m, l)
         v = [coeffs[0] * sums[0][0]]
         for a in range(1, l + 1):
             c = coeffs[a]
-            v = [x + c * s for x, s in zip(_up(v, faces[a]), sums[a])]
-        yield l, v, mult * den, faces
+            v = [x + c * s for x, s in zip(_up(v, _face_columns(n, a)), sums[a])]
+        yield l, v, mult * den
 
 
-def _component(
-    n: int, m: int, l: int, v: list[int], scale: int, faces: dict[int, list[list[int]]]
-) -> ModuleVector:
+def _component(n: int, m: int, l: int, v: list[int], scale: int) -> ModuleVector:
     """The U-statistic lift of the layer-l vector v / scale: m - l up passes, then / (m-l)!."""
     for b in range(l + 1, m + 1):
-        v = _up(v, faces[b])
+        v = _up(v, _face_columns(n, b))
     return ModuleVector.from_numerators(n, m, v, scale * factorial(m - l))
 
 
@@ -169,7 +178,7 @@ def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
     """
     if l < 1 or l > h.l:
         raise DomainError(f"kernel order l={l} outside [1..{h.l}]")
-    _, v, scale, _ = next(_chains(h, [l]))
+    _, v, scale = next(_chains(h, [l]))
     return ModuleVector.from_numerators(h.n, l, v, scale)
 
 
@@ -189,8 +198,7 @@ def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
         raise DomainError(f"cannot draw m={m} points from [1..{n}]")
     if l == m:
         return phi
-    faces = {b: _face_table(n, b) for b in range(l + 1, m + 1)}
-    return _component(n, m, l, phi.numerators, phi.denominator, faces)
+    return _component(n, m, l, phi.numerators, phi.denominator)
 
 
 def project(h: ModuleVector, l: int) -> ModuleVector:
@@ -201,8 +209,8 @@ def project(h: ModuleVector, l: int) -> ModuleVector:
     """
     if l < 0 or l > h.l:
         raise DomainError(f"projection order l={l} outside [0..{h.l}]")
-    _, v, scale, faces = next(_chains(h, [l]))
-    return _component(h.n, h.l, l, v, scale, faces)
+    _, v, scale = next(_chains(h, [l]))
+    return _component(h.n, h.l, l, v, scale)
 
 
 def is_completely_degenerate(phi: ModuleVector) -> bool:
@@ -214,7 +222,7 @@ def is_completely_degenerate(phi: ModuleVector) -> bool:
     n, l = phi.n, phi.l
     if l < 1:
         raise DomainError("degeneracy is defined for kernels of order >= 1")
-    return not any(_down(phi.numerators, _face_table(n, l), comb(n, l - 1)))
+    return not any(_down(phi.numerators, _face_columns(n, l), comb(n, l - 1)))
 
 
 @dataclass(frozen=True)
@@ -252,7 +260,7 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     mean = h.mean()
     kernels = {}
     components = {0: ModuleVector.constant(n, m, mean)}
-    for l, v, scale, faces in _chains(h, range(1, m + 1)):
+    for l, v, scale in _chains(h, range(1, m + 1)):
         kernels[l] = ModuleVector.from_numerators(n, l, v, scale)
-        components[l] = kernels[l] if l == m else _component(n, m, l, v, scale, faces)
+        components[l] = kernels[l] if l == m else _component(n, m, l, v, scale)
     return HoeffdingDecomposition(n, m, mean, kernels, components)

@@ -431,6 +431,15 @@ def _fixed_point_route(f: ModuleVector) -> ModuleVector:
     )
 
 
+@lru_cache(maxsize=1)
+def _projection_images(n: int, m: int) -> tuple[tuple[ModuleVector, ...], ...]:
+    """For each order l, the order-l components of decompose(indicator(n, K)) over
+    every m-subset K in canonical order.  Shared by the equivalence and Specht
+    suites; only the last (n, m) is kept."""
+    comps = [decompose(indicator(n, K)).components for K in enumerate_subsets(n, m)]
+    return tuple(tuple(c[l] for c in comps) for l in range(m + 1))
+
+
 def verify_equivalence(config: RunConfig) -> VerificationReport:
     """The central identity: the n!-permutation character-projection oracle equals
     the kernel-route projection, entrywise-exactly, at every order."""
@@ -470,9 +479,9 @@ def verify_equivalence(config: RunConfig) -> VerificationReport:
                 where,
             )
 
-    comps_by_subset = [decompose(indicator(n, K)).components for K in enumerate_subsets(n, m)]
+    images = _projection_images(n, m)
     for l in range(m + 1):
-        rank = rank_of_span([c[l] for c in comps_by_subset])
+        rank = rank_of_span(images[l])
         report.record(
             f"projection_image_rank_l{l}",
             rank == dimension(n, l),
@@ -591,10 +600,10 @@ def verify_specht(config: RunConfig) -> VerificationReport:
             f"trial {trial}; x={list(x.images)}, tableau={t.text()}",
         )
 
-    comps_by_subset = [decompose(indicator(n, K)).components for K in enumerate_subsets(n, m)]
+    images = _projection_images(n, m)
     for l in range(1, m + 1):
         lifted = [u_statistic_lift(v, m) for v in bases[l]]
-        image = [c[l] for c in comps_by_subset]
+        image = list(images[l])
         want = dimension(n, l)
         ranks = (rank_of_span(lifted), rank_of_span(image), rank_of_span(lifted + image))
         report.record(

@@ -3,9 +3,9 @@
 Everything here recomputes library results from first principles along a
 different route: subset scanning instead of generating polynomials, exact
 least-squares against lifted-indicator spans instead of the coefficient
-recursion, a reversed-pivot elimination for ranks, and lifts and degeneracy
-tests that look every subset up by its sorted tuple instead of using the
-library's inclusion-matrix passes.
+recursion, a reversed-pivot elimination for ranks, and lifts, degeneracy
+tests and the two inclusion-matrix passes themselves, found by set containment
+over `itertools.combinations` instead of the library's face tables.
 """
 
 from fractions import Fraction
@@ -125,6 +125,26 @@ def degenerate_by_subset_scan(phi: ModuleVector) -> bool:
         if sum(at[tuple(sorted(A + (j,)))] for j in range(1, n + 1) if j not in A):
             return False
     return True
+
+
+def naive_up(lower: list[int], n: int, b: int) -> list[int]:
+    """(up V)(B) = sum of V(A) over the (b-1)-subsets A contained in B, for every
+    b-subset B of [1..n] in lexicographic order; V is listed on the (b-1)-subsets."""
+    below = [set(A) for A in combinations(range(1, n + 1), b - 1)]
+    return [
+        sum(v for A, v in zip(below, lower) if A <= set(B))
+        for B in combinations(range(1, n + 1), b)
+    ]
+
+
+def naive_down(upper: list[int], n: int, b: int) -> list[int]:
+    """(down V)(A) = sum of V(B) over the b-subsets B containing A, for every
+    (b-1)-subset A of [1..n] in lexicographic order; V is listed on the b-subsets."""
+    above = [set(B) for B in combinations(range(1, n + 1), b)]
+    return [
+        sum(v for B, v in zip(above, upper) if set(A) <= B)
+        for A in combinations(range(1, n + 1), b - 1)
+    ]
 
 
 def least_squares_onto_lifted_span(h: ModuleVector, l: int) -> ModuleVector:

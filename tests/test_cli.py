@@ -71,14 +71,24 @@ class TestDecompose:
         assert all(dec.kernels[l].is_zero() for l in (1, 2))
         assert "0 nonzero kernels" in capsys.readouterr().out
 
+    @staticmethod
+    def golden_bytes_match(tmp_path, n, m):
+        data = Path(__file__).parent / "data"
+        stem = f"decompose_n{n}_m{m}"
+        dst = tmp_path / "out.dec"
+        args = ["decompose", "--n", str(n), "--m", str(m), "--input", str(data / f"{stem}.mv")]
+        assert main(args + ["--out", str(dst)]) == 0
+        return dst.read_bytes() == (data / f"{stem}.dec").read_bytes()
+
     def test_golden_output_bytes(self, tmp_path, capsys):
         # The .dec file was written by the CLI before value texts were parsed
         # and formatted once per call; the output must not change by a byte.
-        data = Path(__file__).parent / "data"
-        dst = tmp_path / "out.dec"
-        args = ["decompose", "--n", "14", "--m", "3", "--input", str(data / "decompose_n14_m3.mv")]
-        assert main(args + ["--out", str(dst)]) == 0
-        assert dst.read_bytes() == (data / "decompose_n14_m3.dec").read_bytes()
+        assert self.golden_bytes_match(tmp_path, 14, 3)
+
+    def test_golden_output_bytes_n10_m5(self, tmp_path, capsys):
+        # Every layer up to m = 5, on small unreduced rationals with zeros
+        # omitted, written by the CLI before the face tables were cached.
+        assert self.golden_bytes_match(tmp_path, 10, 5)
 
     def test_shape_flag_mismatch(self, tmp_path, capsys):
         src = tmp_path / "in.mv"

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -10,6 +12,8 @@ from oracles import (
     degenerate_by_subset_scan,
     hoeffding_projection_by_least_squares,
     lifted_indicator,
+    naive_down,
+    naive_up,
     subset_scan_lift,
 )
 from spechtstat import (
@@ -270,6 +274,61 @@ class TestDegeneracy:
     def test_order_zero_rejected(self):
         with pytest.raises(DomainError):
             is_completely_degenerate(ModuleVector.zero(4, 0))
+
+
+def _seeded_ints(rng: random.Random, size: int) -> list[int]:
+    # Small and large integers, negatives and plenty of zeros among them.
+    return [rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-10**6, 10**6))) for _ in range(size)]
+
+
+class TestPasses:
+    SHAPES = [(n, b) for n in range(1, 10) for b in range(1, n + 1)]
+
+    @pytest.mark.parametrize("n,b", SHAPES)
+    def test_passes_equal_their_definitions(self, n, b):
+        rng = random.Random(1000 * n + b)
+        cols = hoeffding._face_columns(n, b)
+        for _ in range(3):
+            x = _seeded_ints(rng, comb(n, b - 1))
+            y = _seeded_ints(rng, comb(n, b))
+            up, down = hoeffding._up(x, cols), hoeffding._down(y, cols, comb(n, b - 1))
+            assert up == naive_up(x, n, b)
+            assert down == naive_down(y, n, b)
+            # The down pass is the transpose of the up pass.
+            assert sum(map(int.__mul__, up, y)) == sum(map(int.__mul__, x, down))
+
+    def test_columns_follow_their_definition(self):
+        for n in range(1, 8):
+            for b in range(1, n + 1):
+                below = list(combinations(range(1, n + 1), b - 1))
+                above = list(combinations(range(1, n + 1), b))
+                want = tuple(
+                    tuple(below.index(B[:k] + B[k + 1 :]) for B in above) for k in range(b)
+                )
+                assert hoeffding._face_columns(n, b) == want
+
+
+class TestFaceCache:
+    def test_cache_is_bounded_and_holds_only_tuples(self):
+        assert isinstance(hoeffding._face_columns.cache_info().maxsize, int)
+        decompose(random_module_vector(9, 4, 3))
+        for b in range(1, 5):
+            cols = hoeffding._face_columns(9, b)
+            assert type(cols) is tuple and len(cols) == b
+            assert all(type(col) is tuple and len(col) == comb(9, b) for col in cols)
+
+    def test_interleaved_shapes_give_their_first_results(self):
+        hoeffding._face_columns.cache_clear()
+        shapes = [(12, 6), (10, 5), (9, 3)]
+        inputs = {shape: random_module_vector(*shape, 40 + shape[1]) for shape in shapes}
+        first = {shape: decompose(h) for shape, h in inputs.items()}
+        phi = hoeffding_kernel(random_module_vector(8, 3, 7), 2)
+        lift_first = u_statistic_lift(phi, 5)
+        for shape in shapes + [(12, 6)]:
+            assert decompose(inputs[shape]) == first[shape]
+            assert u_statistic_lift(phi, 5) == lift_first
+            assert is_completely_degenerate(phi)
+            assert not is_completely_degenerate(indicator(11, (2, 5, 7)))
 
 
 class TestDecompose:

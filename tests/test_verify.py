@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,18 @@ class TestSuites:
         assert [r.suite for r in reports] == ["decomp", "equiv", "shift", "specht"]
         assert all(r.ok for r in reports)
 
+    def test_equivalence_and_specht_share_the_projection_images(self, monkeypatch):
+        # The images of all C(n, m) indicators are decomposed once per (n, m).
+        config = RunConfig(n=6, m=3, seed=3, trials=1)
+        verify._projection_images.cache_clear()
+        calls = []
+        real = verify.decompose
+        monkeypatch.setattr(verify, "decompose", lambda h: calls.append(h) or real(h))
+        assert verify_equivalence(config).ok
+        assert len(calls) == config.trials + comb(6, 3)
+        assert verify_specht(config).ok
+        assert len(calls) == config.trials + comb(6, 3)
+
     def test_run_suites_unknown(self):
         with pytest.raises(DomainError):
             run_suites(RunConfig(n=4, m=2), "nope")
@@ -139,6 +152,9 @@ class TestPerturbedComponent:
     @pytest.fixture(autouse=True)
     def perturb(self, monkeypatch):
         real = verify.decompose
+        # Projection images are cached per (n, m): none may be computed by, or
+        # outlive, the perturbed decompose.
+        verify._projection_images.cache_clear()
 
         def perturbed(h):
             dec = real(h)
@@ -147,6 +163,8 @@ class TestPerturbedComponent:
             return HoeffdingDecomposition(dec.n, dec.m, dec.mean, dec.kernels, components)
 
         monkeypatch.setattr(verify, "decompose", perturbed)
+        yield
+        verify._projection_images.cache_clear()
 
     @staticmethod
     def failed(report):
