@@ -2,25 +2,37 @@
 
 Subcommands: dims, chartable, decompose, specht, verify, bench.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+
+Each command imports the modules it uses inside its handler, so that a
+process loads only what its command runs: `decompose`, for one, never loads
+`verify`, `characters` or `specht`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from .characters import character_table, dimension
-from .combinatorics import DEFAULT_ORACLE_CEILING, standard_tableaux
+from .combinatorics import DEFAULT_ORACLE_CEILING
 from .errors import DomainError, ParseError, ResourceLimitError
-from .fileformats import load_module_vector, save_decomposition, save_module_vector
-from .hoeffding import decompose
-from .specht import polytabloid
-from .verify import SUITES, RunConfig, bench, run_suites
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _suite_choices(argv: list[str]) -> list[str] | None:
+    """The `--suite` choices: "all" and the keys of `verify.SUITES`, read at parse time.
+
+    argparse formats choices as soon as an argument is added, so reading them
+    imports `verify`.  That import happens only when the command line holds
+    the word "verify"; without it the verify subparser never runs.
+    """
+    if "verify" not in argv:
+        return None
+    from .verify import SUITES
+
+    return ["all", *SUITES]
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     ceiling = argparse.ArgumentParser(add_help=False)
     ceiling.add_argument(
         "--ceiling",
@@ -62,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--suite", choices=["all", *SUITES], default="all")
+    p.add_argument("--suite", choices=_suite_choices(argv), default="all")
     p.add_argument("--report", type=Path, default=None, help="write a JSON report here")
 
     p = sub.add_parser("bench", parents=[ceiling], help="time the kernel route vs the n! oracle")
@@ -73,9 +85,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_dims_digits(n: int) -> None:
+    """Refuse, before any line is printed, a table with an entry too long for `str`.
+
+    The ratio dimension(n, l) / dimension(n, l-1) = (n-2l+1)(n-l+2) / (l(n-2l+3))
+    falls as l grows, so the largest entry is at the last l <= n/2 where the
+    ratio is at least 1.  That entry is at least 2^n / (n+1)^2, so a large n is
+    refused on bit lengths alone, without building a binomial of ~n bits.
+    """
+    from .characters import dimension
+
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    bound = 10**limit  # the smallest integer with limit + 1 digits
+    if (bound * (n + 1) ** 2).bit_length() > n:
+        l = n // 2
+        while l > 0 and l * (n - 2 * l + 3) > (n - 2 * l + 1) * (n - l + 2):
+            l -= 1
+        if dimension(n, l) < bound:
+            return
+    raise ResourceLimitError(
+        f"the dimensions for n={n} exceed the interpreter's limit of {limit} digits "
+        "for int-to-string conversion"
+    )
+
+
 def _cmd_dims(args) -> int:
+    from .characters import dimension
+
     if args.n < 1:
         raise DomainError(f"degree must be positive, got n={args.n}")
+    _check_dims_digits(args.n)
     print(f" l  dimension   (n={args.n})")
     for l in range(args.n // 2 + 1):
         print(f" {l}  {dimension(args.n, l)}")
@@ -83,6 +124,8 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_chartable(args) -> int:
+    from .characters import character_table
+
     table = character_table(args.n, args.max_l)
     args.out.write_text(table.csv_text())
     print(f"wrote {len(table.rows)} classes x {args.max_l + 1} characters to {args.out}")
@@ -90,6 +133,9 @@ def _cmd_chartable(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .fileformats import load_module_vector, save_decomposition
+    from .hoeffding import decompose
+
     h = load_module_vector(args.input)
     if h.n != args.n or h.l != args.m:
         raise DomainError(
@@ -103,6 +149,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_specht(args) -> int:
+    from .combinatorics import standard_tableaux
+    from .fileformats import save_module_vector
+    from .specht import polytabloid
+
     tableaux = standard_tableaux(args.n, args.l)
     args.out.mkdir(parents=True, exist_ok=True)
     for t in tableaux:
@@ -113,6 +163,8 @@ def _cmd_specht(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import RunConfig, run_suites
+
     config = RunConfig(
         n=args.n,
         m=args.m,
@@ -124,12 +176,16 @@ def _cmd_verify(args) -> int:
     for report in reports:
         print(report.render(), end="")
     if args.report is not None:
+        import json
+
         payload = {"reports": [r.to_json_dict() for r in reports]}
         args.report.write_text(json.dumps(payload, indent=2) + "\n")
     return 0 if all(r.ok for r in reports) else 1
 
 
 def _cmd_bench(args) -> int:
+    from .verify import bench
+
     result = bench(args.n, args.m, seed=args.seed, ceiling=args.ceiling)
     print(result.render(), end="")
     if args.n >= 7 and args.m >= 2 and result.oracle_seconds is not None:
@@ -152,7 +208,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help

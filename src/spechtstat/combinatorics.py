@@ -18,12 +18,14 @@ Subset = tuple[int, ...]
 CycleType = tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_subsets(n: int, l: int) -> tuple[Subset, ...]:
     """All l-element subsets of [1..n], sorted tuples in lexicographic order.
 
     This order is the canonical indexing contract: vector coordinates and
-    serialized records always follow it.
+    serialized records always follow it.  Held in an LRU cache of fixed
+    maxsize 32, which covers every layer of one shape (n, m) with m <= 31, so
+    that a run over many shapes keeps the tables of the most recent ones only.
     """
     if n < 1:
         raise DomainError(f"population size must be positive, got n={n}")
@@ -32,16 +34,19 @@ def enumerate_subsets(n: int, l: int) -> tuple[Subset, ...]:
     return tuple(itertools.combinations(range(1, n + 1), l))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def subset_index(n: int, l: int) -> dict[Subset, int]:
-    """Position of each l-subset in the canonical order.  Treat as read-only."""
+    """Position of each l-subset in the canonical order.  Treat as read-only.
+
+    Cached like `enumerate_subsets`: maxsize 32 covers every layer of one shape.
+    """
     return {s: i for i, s in enumerate(enumerate_subsets(n, l))}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _mask_index(n: int, l: int) -> dict[int, int]:
     # Position of each l-subset in the canonical order, keyed by its bitmask:
-    # the sum of 1 << (a-1) over its points a.
+    # the sum of 1 << (a-1) over its points a.  Cached like `enumerate_subsets`.
     return {sum(1 << (a - 1) for a in s): i for i, s in enumerate(enumerate_subsets(n, l))}
 
 
@@ -207,11 +212,12 @@ def apply_perm_to_subset(x: Permutation, s: Subset) -> Subset:
     return tuple(sorted(img[j - 1] for j in s))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _fixed_subset_poly(ct: CycleType) -> tuple[int, ...]:
     # Coefficients of prod over cycle lengths c of (1 + z^c); coefficient of
     # z^l counts the l-subsets that are unions of whole cycles, i.e. the
-    # setwise-fixed l-subsets.
+    # setwise-fixed l-subsets.  maxsize 1024 holds every cycle type of one
+    # degree n <= 22 (there are 1002 at n = 22).
     coeffs = [1]
     for c in ct:
         nxt = coeffs + [0] * c

@@ -1,6 +1,11 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +69,64 @@ def test_hoeffding_holds_only_the_kernel_route():
         "_orbit_counts", "_projection_weights", "enumerate_permutations", "subset_images",
     ]
     assert [name for name in moved if hasattr(hoeffding, name)] == []
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The `spechtstat` modules a fresh interpreter has loaded after running `code`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
+    report = "import sys; print(sorted(m for m in sys.modules if m.startswith('spechtstat')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        capture_output=True, text=True, env=env, cwd=Path(__file__).parent, check=True,
+    )
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+class TestOnDemandLoading:
+    def test_import_loads_no_submodule(self):
+        assert _loaded_after("import spechtstat") == ["spechtstat"]
+
+    def test_decompose_command_loads_only_what_it_uses(self, tmp_path):
+        out = tmp_path / "out.dec"
+        loaded = _loaded_after(
+            "import spechtstat.cli\n"
+            "assert spechtstat.cli.main(['decompose', '--n', '10', '--m', '5', "
+            f"'--input', 'data/decompose_n10_m5.mv', '--out', {str(out)!r}]) == 0"
+        )
+        assert out.read_bytes() == (Path(__file__).parent / "data/decompose_n10_m5.dec").read_bytes()
+        assert {"spechtstat.fileformats", "spechtstat.hoeffding"} <= set(loaded)
+        assert {"spechtstat.verify", "spechtstat.characters", "spechtstat.specht"}.isdisjoint(loaded)
+
+    def test_reading_a_name_loads_its_home_module(self):
+        loaded = _loaded_after("import spechtstat; spechtstat.dimension")
+        assert "spechtstat.characters" in loaded and "spechtstat.verify" not in loaded
+
+    @pytest.mark.parametrize("name", SURVIVING)
+    def test_name_is_its_home_modules_object(self, name):
+        home = importlib.import_module(f"spechtstat.{spechtstat._HOME[name]}")
+        obj = getattr(spechtstat, name)
+        assert obj is getattr(home, name)
+        if not isinstance(obj, (int, types.GenericAlias)):  # defined in its home module
+            assert obj.__module__ == home.__name__
+
+    def test_star_import_binds_exactly_all(self):
+        namespace: dict = {}
+        exec("from spechtstat import *", namespace)
+        assert sorted(k for k in namespace if k != "__builtins__") == sorted(spechtstat.__all__)
+
+    def test_dir_lists_every_public_name_before_loading_any(self):
+        code = "import spechtstat; assert set(spechtstat.__all__) <= set(dir(spechtstat))"
+        assert _loaded_after(code) == ["spechtstat"]
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            spechtstat.no_such_name
+        assert not hasattr(spechtstat, "no_such_name")
+
+    def test_verify_help_lists_every_suite(self, capsys):
+        from spechtstat import verify
+        from spechtstat.cli import main
+
+        assert main(["verify", "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert "{" + ",".join(["all", *verify.SUITES]) + "}" in usage

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,39 @@ class TestDims:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: degree must be positive" in captured.err
+
+    @pytest.fixture
+    def digit_limit(self):
+        saved = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("n", ["15000", "1000000"])
+    def test_beyond_digit_limit_is_input_error(self, n, digit_limit, capsys):
+        # At the default limit of 4300 digits, the table fails from n = 14299 on;
+        # C(10^6, 5*10^5) alone would take seconds to build.
+        digit_limit(4300)
+        start = time.perf_counter()
+        assert main(["dims", "--n", n]) == 2
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "limit of 4300 digits" in captured.err
+
+    def test_digit_check_refuses_exactly_the_tables_it_cannot_print(self, digit_limit, capsys):
+        # Around n = 2138 at the smallest limit, 640 digits; past n = 2148 the
+        # check refuses on bit lengths alone.
+        digit_limit(640)
+        bound = 10**640
+        for n in range(2136, 2151):
+            binomials = [1]
+            for l in range(1, n // 2 + 1):
+                binomials.append(binomials[-1] * (n - l + 1) // l)
+            fits = max(b - a for a, b in zip([0] + binomials, binomials)) < bound
+            assert main(["dims", "--n", str(n)]) == (0 if fits else 2)
+            captured = capsys.readouterr()
+            assert (captured.out == "") == (not fits)
+            assert captured.err.startswith("error: ") != fits
 
 
 class TestChartable:

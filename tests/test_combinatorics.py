@@ -28,6 +28,7 @@ from spechtstat.combinatorics import (
     parse_subset,
     subset_index,
 )
+from spechtstat import combinatorics, decompose, decomposition_to_text, random_module_vector
 
 
 class TestEnumerateSubsets:
@@ -256,6 +257,27 @@ class TestEnumeratePermutations:
         gen = enumerate_permutations(10, ceiling=None)
         first = next(gen)
         assert first == Permutation.identity(10)
+
+
+class TestSubsetCaches:
+    def test_every_cache_is_bounded(self):
+        caches = {name: obj for name, obj in vars(combinatorics).items()
+                  if hasattr(obj, "cache_info")}
+        assert {"enumerate_subsets", "subset_index", "_mask_index"} <= set(caches)
+        assert [name for name, c in caches.items() if c.cache_info().maxsize is None] == []
+
+    def test_interleaved_shapes_past_the_bound_give_their_first_results(self):
+        # 17 shapes of 3 layers each: 51 (n, l) keys, more than the caches hold.
+        shapes = [(n, 2) for n in range(5, 22)]
+        inputs = {shape: random_module_vector(*shape, 60 + shape[0]) for shape in shapes}
+        first = {shape: decomposition_to_text(decompose(h)) for shape, h in inputs.items()}
+        bound = enumerate_subsets.cache_info().maxsize
+        assert 3 * len(shapes) > bound
+        for shape in shapes[::-1] + shapes:
+            assert decomposition_to_text(decompose(inputs[shape])) == first[shape]
+            assert enumerate_subsets.cache_info().currsize <= bound
+            assert subset_index.cache_info().currsize <= bound
+        assert enumerate_subsets.cache_info().currsize == bound
 
 
 @given(st.integers(2, 6), st.data())
