@@ -112,14 +112,18 @@ def _check_dims_digits(n: int) -> None:
 
 
 def _cmd_dims(args) -> int:
-    from .characters import dimension
-
-    if args.n < 1:
-        raise DomainError(f"degree must be positive, got n={args.n}")
-    _check_dims_digits(args.n)
-    print(f" l  dimension   (n={args.n})")
-    for l in range(args.n // 2 + 1):
-        print(f" {l}  {dimension(args.n, l)}")
+    n = args.n
+    if n < 1:
+        raise DomainError(f"degree must be positive, got n={n}")
+    _check_dims_digits(n)
+    print(f" l  dimension   (n={n})")
+    # dimension(n, l) = C(n, l) - C(n, l-1), from the running binomial
+    # C(n, l+1) = C(n, l)(n-l)/(l+1): one product and one exact division a
+    # row in place of two fresh binomials.
+    below, here = 0, 1  # C(n, l-1), C(n, l)
+    for l in range(n // 2 + 1):
+        print(f" {l}  {here - below}")
+        below, here = here, here * (n - l) // (l + 1)
     return 0
 
 

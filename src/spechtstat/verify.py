@@ -9,9 +9,13 @@ This module is also the home of the library's reference computations, kept
 apart from the kernel route in `hoeffding` that they check and sharing none
 of its code: the n!-permutation `character_projection_oracle` (with its
 caches and `clear_oracle_cache`), the double sum built on `CoefficientTable`,
-the order-1 fixed-point route and the shift suite's n! walk.  The suites
-that walk S_n refuse n above `RunConfig.brute_force_ceiling`, the oracle
-above its `ceiling`; both default to `combinatorics.DEFAULT_ORACLE_CEILING`.
+the order-1 fixed-point route and the shift suite's n! walk.  S_n is walked
+at most twice per (n, m): once by `_orbit_counts`, whose permutation counts
+by cycle type serve both the oracle and the fixed-point route, and once by
+the shift suite, which looks up only the m + 2 subset images it reads.  The
+suites that walk S_n refuse n above `RunConfig.brute_force_ceiling`, the
+oracle above its `ceiling`; both default to
+`combinatorics.DEFAULT_ORACLE_CEILING`.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from .combinatorics import (
     CycleType,
     Permutation,
     Tableau,
+    _mask_index,
     enumerate_permutations,
     enumerate_subsets,
     subset_images,
-    subset_index,
 )
 from .errors import DomainError, ResourceLimitError
 from .fileformats import module_vector_to_text
@@ -348,12 +352,14 @@ def _double_sum_values(f: ModuleVector, l: int) -> ModuleVector:
     return ModuleVector(n, m, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _orbit_counts(n: int, m: int) -> dict[CycleType, Counter]:
     """For each cycle type ct, a Counter of the position pairs (K, J) with the
     number of permutations of type ct that map the m-subset J onto K.
 
-    One literal walk over all n! permutations per (n, m), shared by every order l.
+    One literal walk over all n! permutations per (n, m), shared by every order
+    l of the character oracle and by the fixed-point route.  Held in an LRU
+    cache of fixed maxsize 1: the counts of one shape, the last one asked for.
     """
     counts: defaultdict[CycleType, Counter] = defaultdict(Counter)
     positions = range(comb(n, m))
@@ -362,14 +368,16 @@ def _orbit_counts(n: int, m: int) -> dict[CycleType, Counter]:
     return dict(counts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _projection_weights(n: int, m: int, l: int) -> tuple[tuple[int, ...], ...]:
     """Integer matrix W with W[K][J] = sum of chi_{(n-l,l)}(x) over all x mapping J to K.
 
     Assembled as the sum over cycle types ct of chi_{(n-l,l)}(ct) times the
     permutation counts of `_orbit_counts`, so that the n! walk happens once per
     (n, m), grouped by cycle type, whatever the number of orders l asked for.
-    The caller applies W to a vector and scales by dimension/n!.
+    The caller applies W to a vector and scales by dimension/n!.  Held in an
+    LRU cache of fixed maxsize 8, which covers every order l = 0..m of one
+    shape with m <= 7, i.e. of every shape whose n! walk is feasible.
     """
     size = comb(n, m)
     weights = [[0] * size for _ in range(size)]
@@ -419,13 +427,17 @@ def clear_oracle_cache() -> None:
 def _fixed_point_route(f: ModuleVector) -> ModuleVector:
     # Order-1 projection via the explicit fixed-point count weighting
     # (fix(x) - 1), summed over all n! permutations on f's integer numerators.
+    # The sum is regrouped by cycle type: every permutation of type ct has
+    # ct.count(1) fixed points, and `_orbit_counts` holds how many of them map
+    # each J onto each K.
     n, m = f.n, f.l
     nums = f.numerators
     acc = [0] * len(nums)
-    for x in enumerate_permutations(n, ceiling=None):
-        w = x.fixed_points() - 1
+    for ct, cnt in _orbit_counts(n, m).items():
+        w = ct.count(1) - 1
         if w:
-            acc = [a + w * nums[p] for a, p in zip(acc, subset_images(x, m))]
+            for (k, j), c in cnt.items():
+                acc[j] += w * c * nums[k]
     return ModuleVector.from_numerators(
         n, m, [(n - 1) * a for a in acc], factorial(n) * f.denominator
     )
@@ -491,6 +503,29 @@ def verify_equivalence(config: RunConfig) -> VerificationReport:
     return report
 
 
+def _shift_pair_counts(n: int, m: int) -> list[Counter]:
+    """For each overlap r = 0..m, a Counter of the position pairs (B, K) with the
+    number of permutations x such that x(base) = B and x(k_r) = K, where
+    base = {1..m} and k_r = {1..r, m+1..2m-r}.  k_m is base itself.
+
+    One literal walk over all n! permutations.  Each image is found from the
+    point bits 1 << (x(a)-1) of the first 2m points: the mask of x(k_0) is the
+    sum of the bits of m+1..2m, and each step r -> r+1 trades the bit of 2m-r
+    for the bit of r+1.  One int-keyed lookup per image, m + 2 per permutation.
+    """
+    position = _mask_index(n, m).__getitem__
+    pairs = [Counter() for _ in range(m + 1)]
+    for x in enumerate_permutations(n, ceiling=None):
+        bits = [1 << (b - 1) for b in x.images[: 2 * m]]
+        bpos = position(sum(bits[:m]))
+        mask = sum(bits[m:])
+        for r, counter in enumerate(pairs):
+            counter[bpos, position(mask)] += 1
+            if r < m:
+                mask += bits[r] - bits[2 * m - 1 - r]
+    return pairs
+
+
 def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
     """Orthogonality of different-order components survives shifting one argument:
     for every overlap r, the exact average over all n! permutations of
@@ -504,19 +539,8 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
     report = VerificationReport("shift", n, m, config.seed, config.trials)
     gen = Lcg64(config.seed)
 
-    # For each overlap r, how many permutations x send (base, k_r) to each pair
-    # of positions; base = {1..m} is position 0.  Counted once, shared by every
-    # trial.  k_m is base itself, so pairs[m] weights the squared norms.
-    idx = subset_index(n, m)
-    overlap_pos = [
-        idx[tuple(range(1, r + 1)) + tuple(range(m + 1, 2 * m - r + 1))] for r in range(m + 1)
-    ]
-    pairs = [Counter() for _ in range(m + 1)]
-    for x in enumerate_permutations(n, ceiling=None):
-        img = subset_images(x, m)
-        bpos = img[0]
-        for r, k in enumerate(overlap_pos):
-            pairs[r][bpos, img[k]] += 1
+    # Counted once, shared by every trial; pairs[m] weights the squared norms.
+    pairs = _shift_pair_counts(n, m)
 
     def pair_sum(r: int, fv: tuple[int, ...], hv: tuple[int, ...]) -> int:
         return sum(c * fv[b] * hv[k] for (b, k), c in pairs[r].items())

@@ -5,9 +5,12 @@ different route: subset scanning instead of generating polynomials, exact
 least-squares against lifted-indicator spans instead of the coefficient
 recursion, a reversed-pivot elimination for ranks, and lifts, degeneracy
 tests and the two inclusion-matrix passes themselves, found by set containment
-over `itertools.combinations` instead of the library's face tables.
+over `itertools.combinations` instead of the library's face tables, and the
+n!-walks of `verify` done one permutation at a time over full subset-image
+tables instead of regrouped by cycle type or read at a few positions.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
@@ -21,6 +24,7 @@ from spechtstat import (
     indicator,
     inner_product,
 )
+from spechtstat.combinatorics import subset_images, subset_index
 
 
 def brute_fixed_subset_count(x: Permutation, l: int) -> int:
@@ -184,6 +188,38 @@ def brute_isotypic_projection(f: ModuleVector, l: int, chi) -> ModuleVector:
             total += chi(x) * f[apply_perm_to_subset(x.inverse(), K)]
         out.append(Fraction(dimension(n, l), factorial(n)) * total)
     return ModuleVector(n, m, out)
+
+
+def fixed_point_walk(f: ModuleVector) -> ModuleVector:
+    """Order-1 projection as the literal walk: at each m-subset J, (n-1)/n! times
+    the sum over every permutation x of (fix(x) - 1) f(x J), with fix(x) counted
+    point by point and x J read from x's full table of subset images."""
+    n, m = f.n, f.l
+    nums = f.numerators
+    acc = [0] * len(nums)
+    for x in enumerate_permutations(n, ceiling=None):
+        w = x.fixed_points() - 1
+        if w:
+            acc = [a + w * nums[p] for a, p in zip(acc, subset_images(x, m))]
+    return ModuleVector.from_numerators(
+        n, m, [(n - 1) * a for a in acc], factorial(n) * f.denominator
+    )
+
+
+def shift_pairs_from_tables(n: int, m: int) -> list[Counter]:
+    """For each overlap r = 0..m, how many permutations x send ({1..m}, k_r) to
+    each pair of positions, k_r = {1..r, m+1..2m-r}, read from x's full table of
+    subset images."""
+    idx = subset_index(n, m)
+    overlap = [
+        idx[tuple(range(1, r + 1)) + tuple(range(m + 1, 2 * m - r + 1))] for r in range(m + 1)
+    ]
+    pairs = [Counter() for _ in range(m + 1)]
+    for x in enumerate_permutations(n, ceiling=None):
+        img = subset_images(x, m)
+        for r, k in enumerate(overlap):
+            pairs[r][img[0], img[k]] += 1
+    return pairs
 
 
 def combinations_of(population, r):

@@ -9,6 +9,7 @@ import pytest
 
 import spechtstat
 from spechtstat import (
+    dimension,
     load_decomposition,
     load_module_vector,
     polytabloid,
@@ -26,6 +27,14 @@ class TestDims:
         out = capsys.readouterr().out
         rows = [line.split() for line in out.strip().split("\n")[1:]]
         assert [(int(a), int(b)) for a, b in rows] == [(0, 1), (1, 5), (2, 9), (3, 5)]
+
+    def test_table_equals_the_dimension_formula(self, capsys):
+        # The table's running binomial against two fresh binomials a row.
+        for n in range(1, 61):
+            assert main(["dims", "--n", str(n)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0] == f" l  dimension   (n={n})"
+            assert lines[1:] == [f" {l}  {dimension(n, l)}" for l in range(n // 2 + 1)]
 
     def test_missing_argument_is_usage_error(self, capsys):
         assert main(["dims"]) == 2

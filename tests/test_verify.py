@@ -7,6 +7,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from oracles import fixed_point_walk, shift_pairs_from_tables
 
 import spechtstat
 from spechtstat import (
@@ -15,6 +16,7 @@ from spechtstat import (
     ResourceLimitError,
     RunConfig,
     bench,
+    character_projection_oracle,
     indicator,
     random_module_vector,
     run_suites,
@@ -24,7 +26,7 @@ from spechtstat import (
     verify_specht,
 )
 from spechtstat import verify
-from spechtstat.verify import CheckResult, Lcg64, VerificationReport
+from spechtstat.verify import CheckResult, Lcg64, VerificationReport, clear_oracle_cache
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all_n7_m3_trials2_seed1.txt"
 
@@ -173,16 +175,22 @@ class TestPerturbedComponent:
     def test_equivalence_suite_fails(self):
         report = verify_equivalence(RunConfig(n=6, m=2, seed=5, trials=2))
         assert not report.ok
-        failed = self.failed(report)
-        assert {"oracle_equals_projection_l1", "order1_fixed_point_weighting"} <= failed
-        assert "oracle_equals_projection_l2" not in failed
+        assert self.failed(report) == {
+            "oracle_equals_projection_l1",
+            "order1_fixed_point_weighting",
+            "projection_image_rank_l1",
+        }
 
     def test_shift_suite_fails(self):
+        # Exactly the sums pairing the moved order-1 component with another
+        # order, at every overlap.
         report = verify_shift_orthogonality(RunConfig(n=6, m=2, seed=5, trials=2))
         assert not report.ok
-        failed = self.failed(report)
-        assert any(name.startswith("shifted_orthogonality_j1_") for name in failed)
-        assert not any("_j2_l0_" in name for name in failed)
+        assert self.failed(report) == {
+            f"shifted_orthogonality_j{j}_l{l}_r{r}"
+            for j, l in [(0, 1), (1, 0), (1, 2), (2, 1)]
+            for r in range(3)
+        }
 
 
 class TestShiftedSums:
@@ -202,6 +210,53 @@ class TestShiftedSums:
         report = verify_shift_orthogonality(RunConfig(n=6, m=2, seed=5, trials=2))
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"shifted_orthogonality_j1_l2_r1", "shifted_orthogonality_j2_l1_r1"}
+
+
+class TestReferenceWalks:
+    """The two n! walks of `verify` against literal walks over full image tables."""
+
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in range(2, 8) for m in range(1, n // 2 + 1)] + [(8, 3)]
+    )
+    def test_fixed_point_route_equals_the_literal_walk(self, n, m):
+        f = random_module_vector(n, m, 10 * n + m)
+        assert verify._fixed_point_route(f) == fixed_point_walk(f)
+
+    @pytest.mark.parametrize("n, m", [(6, 2), (7, 3), (8, 4)])
+    def test_shift_pair_counts_equal_the_full_table_counts(self, n, m):
+        assert verify._shift_pair_counts(n, m) == shift_pairs_from_tables(n, m)
+
+    def test_all_suites_walk_the_group_twice(self, monkeypatch):
+        # Once for the oracle's orbit counts, which the fixed-point route reads
+        # too, and once for the shift suite's pair counts.
+        clear_oracle_cache()
+        walks = []
+        real = verify.enumerate_permutations
+        monkeypatch.setattr(
+            verify, "enumerate_permutations", lambda *a, **k: walks.append(a) or real(*a, **k)
+        )
+        assert all(r.ok for r in run_suites(RunConfig(n=6, m=3, seed=2, trials=2), "all"))
+        assert walks == [(6,), (6,)]
+
+    def test_oracle_caches_are_bounded(self):
+        caches = {name: obj for name, obj in vars(verify).items() if hasattr(obj, "cache_info")}
+        assert {"_orbit_counts", "_projection_weights", "_projection_images"} <= set(caches)
+        assert [name for name, c in caches.items() if c.cache_info().maxsize is None] == []
+
+    def test_interleaved_shapes_give_their_first_projections(self):
+        shapes = [(5, 2), (6, 3), (7, 2), (6, 1)]
+        inputs = {shape: random_module_vector(*shape, 70 + sum(shape)) for shape in shapes}
+        clear_oracle_cache()
+        first = {
+            shape: [character_projection_oracle(f, l) for l in range(f.l + 1)]
+            for shape, f in inputs.items()
+        }
+        for shape in shapes[::-1] + shapes:
+            f = inputs[shape]
+            assert [character_projection_oracle(f, l) for l in range(f.l + 1)] == first[shape]
+            assert verify._fixed_point_route(f) == first[shape][1]
+            assert verify._orbit_counts.cache_info().currsize == 1
+            assert verify._projection_weights.cache_info().currsize <= 8
 
 
 class TestGoldenOutput:
