@@ -19,7 +19,7 @@ from spechtstat import (
 t = Tableau((2, 1, 3), (5, 4))
 print(f"tableau {t.text()} on [1..5]:")
 print("  columns:", t.columns())
-print("  tabloid bottom block:", t.tabloid().bottom_block)
+print("  tabloid bottom block:", tuple(sorted(t.bottom_row)))
 
 print("\nthe four-term polytabloid at n = 6:")
 t6 = Tableau((1, 2, 3, 4), (5, 6))

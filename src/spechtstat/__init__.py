@@ -3,7 +3,8 @@ replacement, and their identification with two-row Specht modules.
 
 Everything is computed in exact rational arithmetic; every identity the
 library claims is checked with zero tolerance.  See the `verify` module for
-the executable statements of those identities and the CLI (`spechtstat`) for
+the executable statements of those identities, `references` for the
+independent routes they compare with, and the CLI (`spechtstat`) for
 file-based workflows.
 
 Submodules are loaded on first use: `import spechtstat` imports none of
@@ -17,26 +18,16 @@ from importlib import import_module as _import_module
 #: below (PEP 562).
 _EXPORTS = {
     "algebra": ("ModuleVector", "act", "indicator", "inner_product", "rank_of_span"),
-    "characters": (
-        "CharacterTable",
-        "character_table",
-        "conjugacy_class_size",
-        "dimension",
-        "partitions",
-        "two_row_character",
-    ),
+    "characters": ("character_table", "dimension", "two_row_character"),
     "combinatorics": (
         "DEFAULT_ORACLE_CEILING",
         "CycleType",
         "Permutation",
         "Subset",
         "Tableau",
-        "Tabloid",
-        "apply_perm_to_subset",
         "enumerate_permutations",
         "enumerate_subsets",
         "fixed_subset_count",
-        "standard_tableau_count",
         "standard_tableaux",
     ),
     "errors": ("DomainError", "ParseError", "ResourceLimitError"),
@@ -52,22 +43,20 @@ _EXPORTS = {
     ),
     "hoeffding": (
         "HoeffdingDecomposition",
-        "conditional_expectation",
         "decompose",
         "hoeffding_kernel",
         "is_completely_degenerate",
         "project",
         "u_statistic_lift",
     ),
+    "references": ("CoefficientTable", "character_projection_oracle", "conditional_expectation"),
     "specht": ("polytabloid", "specht_basis"),
     "verify": (
         "BenchResult",
-        "CoefficientTable",
         "Lcg64",
         "RunConfig",
         "VerificationReport",
         "bench",
-        "character_projection_oracle",
         "random_module_vector",
         "run_suites",
         "verify_decomposition",
@@ -81,64 +70,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BenchResult",
-    "CharacterTable",
-    "CoefficientTable",
-    "CycleType",
-    "DEFAULT_ORACLE_CEILING",
-    "DomainError",
-    "HoeffdingDecomposition",
-    "Lcg64",
-    "ModuleVector",
-    "ParseError",
-    "Permutation",
-    "ResourceLimitError",
-    "RunConfig",
-    "Subset",
-    "Tableau",
-    "Tabloid",
-    "VerificationReport",
-    "act",
-    "apply_perm_to_subset",
-    "bench",
-    "character_projection_oracle",
-    "character_table",
-    "conditional_expectation",
-    "conjugacy_class_size",
-    "decompose",
-    "decomposition_from_text",
-    "decomposition_to_text",
-    "dimension",
-    "enumerate_permutations",
-    "enumerate_subsets",
-    "fixed_subset_count",
-    "hoeffding_kernel",
-    "indicator",
-    "inner_product",
-    "is_completely_degenerate",
-    "load_decomposition",
-    "load_module_vector",
-    "module_vector_from_text",
-    "module_vector_to_text",
-    "partitions",
-    "polytabloid",
-    "project",
-    "random_module_vector",
-    "rank_of_span",
-    "run_suites",
-    "save_decomposition",
-    "save_module_vector",
-    "specht_basis",
-    "standard_tableau_count",
-    "standard_tableaux",
-    "two_row_character",
-    "u_statistic_lift",
-    "verify_decomposition",
-    "verify_equivalence",
-    "verify_shift_orthogonality",
-    "verify_specht",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: dims, chartable, decompose, specht, verify, bench.
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error or
+exhausted memory.
 
 Each command imports the modules it uses inside its handler, so that a
 process loads only what its command runs: `decompose`, for one, never loads
@@ -221,11 +222,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, ParseError, ResourceLimitError) as exc:
+    except (DomainError, ParseError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:  # exit 1 is kept for a failed verification
+        print(f"error: out of memory running {args.command}", file=sys.stderr)
         return 2
 
 

@@ -71,6 +71,12 @@ def check_subset(n: int, elements: Iterable[int]) -> Subset:
     return elems
 
 
+def check_shape(n: int, m: int) -> None:
+    """Validate a statistic's shape: m draws from [1..n] with 1 <= m <= n/2."""
+    if m < 1 or 2 * m > n:
+        raise DomainError(f"need 1 <= m <= n/2, got n={n}, m={m}")
+
+
 def parse_subset(text: str) -> Subset:
     """Parse the comma-joined text form, e.g. '1,4,7'.  '-' denotes the empty set."""
     text = text.strip()
@@ -203,15 +209,6 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
-def apply_perm_to_subset(x: Permutation, s: Subset) -> Subset:
-    """Pointwise image {x(j) : j in s}, re-sorted ascending."""
-    img = x.images
-    n = len(img)
-    if any(j < 1 or j > n for j in s):
-        raise DomainError(f"subset {s} not contained in [1..{n}]")
-    return tuple(sorted(img[j - 1] for j in s))
-
-
 @lru_cache(maxsize=1024)
 def _fixed_subset_poly(ct: CycleType) -> tuple[int, ...]:
     # Coefficients of prod over cycle lengths c of (1 + z^c); coefficient of
@@ -236,7 +233,7 @@ def fixed_subset_count_of_type(ct: CycleType, l: int) -> int:
 
 
 def fixed_subset_count(x: Permutation, l: int) -> int:
-    """Number of l-subsets S with apply_perm_to_subset(x, S) = S."""
+    """Number of l-subsets S that x fixes setwise: {x(j) : j in S} = S."""
     return fixed_subset_count_of_type(x.cycle_type(), l)
 
 
@@ -261,29 +258,6 @@ def enumerate_permutations(
             f"pass ceiling={n} (or None) to override"
         )
     return map(Permutation._trusted, itertools.permutations(range(1, n + 1)))
-
-
-@dataclass(frozen=True)
-class Tabloid:
-    """A two-block row-unordered arrangement of [1..n], identified by its bottom block."""
-
-    n: int
-    bottom_block: Subset
-
-    def __post_init__(self):
-        object.__setattr__(self, "bottom_block", check_subset(self.n, self.bottom_block))
-        m = len(self.bottom_block)
-        if m < 1 or 2 * m > self.n:
-            raise DomainError(f"bottom block size {m} outside [1..{self.n}/2]")
-
-    @property
-    def m(self) -> int:
-        return len(self.bottom_block)
-
-    @property
-    def top_block(self) -> Subset:
-        bottom = set(self.bottom_block)
-        return tuple(a for a in range(1, self.n + 1) if a not in bottom)
 
 
 @dataclass(frozen=True)
@@ -319,10 +293,6 @@ class Tableau:
         pairs = [(self.top_row[k], self.bottom_row[k]) for k in range(m)]
         singles = [(a,) for a in self.top_row[m:]]
         return pairs + singles
-
-    def tabloid(self) -> Tabloid:
-        """Forget the order within each row."""
-        return Tabloid(self.n, tuple(sorted(self.bottom_row)))
 
     def apply(self, x: Permutation) -> "Tableau":
         """Entrywise image under x, preserving positions."""
@@ -375,11 +345,3 @@ def standard_tableaux(n: int, l: int) -> tuple[Tableau, ...]:
             out.append(Tableau(top, bottom))
     return tuple(out)
 
-
-def standard_tableau_count(n: int, l: int) -> int:
-    """Number of standard two-row tableaux, counted by direct enumeration."""
-    if l < 0 or 2 * l > n:
-        raise DomainError(f"shape ({n - l},{l}) is not a valid two-row shape")
-    if l == 0:
-        return 1
-    return len(standard_tableaux(n, l))

@@ -2,17 +2,18 @@
 
 A statistic is a `ModuleVector` h on the m-subsets of [1..n], read as
 h(X(1), ..., X(m)) for the first m extractions without replacement.  This
-module holds the kernel route and nothing else.  It computes, in exact
-rational arithmetic:
+module holds the kernel route and nothing else: the down and up passes, the
+Horner chains built on them, the views `hoeffding_kernel`, `u_statistic_lift`,
+`project` and `is_completely_degenerate`, and `decompose`.  It computes, in
+exact rational arithmetic:
 
-  * conditional expectations given any partial assignment of draws,
   * the order-l completely degenerate kernels and their U-statistic lifts,
   * the orthogonal projections onto each symmetric Hoeffding space.
 
-The references it is checked against live apart from it, in `verify` (the
-n!-permutation character-projection oracle, the double sum with its
-`CoefficientTable`, the fixed-point route and the shift walk) and in the
-test suite's own oracles.
+The references it is checked against live apart from it, in `references`
+(the per-subset conditional expectation, the n!-permutation
+character-projection oracle, the double sum with its `CoefficientTable`, the
+fixed-point route and the shift walk) and in the test suite's own oracles.
 
 The kernel route runs on Python ints over one common denominator D, the lcm
 of the input's denominators, with two inclusion-matrix operators between
@@ -31,10 +32,10 @@ per entry.
 The chain's coefficients are integers in closed form (see
 `_chain_coefficients`): k(l, a) = (-1)^(l-a) C(m-a, l-a) perm(n-l+1, a) over
 M_l = C(n-2l, m-l) perm(n-l+1, l).  It rests on two identities for the
-`verify.CoefficientTable` recursion, weight(l, j) = (-1)^(l-j) C(n-j, l-j) /
-C(n-l-j+1, l-j) and ratio(l, j) = C(n-j, l-j) / C(n-2j, l-j).  The route
-itself never builds that table; the double-sum oracle in `verify` does, so
-the two check each other.
+`references.CoefficientTable` recursion, weight(l, j) = (-1)^(l-j)
+C(n-j, l-j) / C(n-l-j+1, l-j) and ratio(l, j) = C(n-j, l-j) / C(n-2j, l-j).
+The route itself never builds that table; the double-sum oracle in
+`references` does, so the two check each other.
 """
 
 from __future__ import annotations
@@ -48,34 +49,8 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .algebra import ModuleVector
-from .combinatorics import Subset, check_subset, enumerate_subsets, subset_index
+from .combinatorics import check_shape, enumerate_subsets, subset_index
 from .errors import DomainError
-
-
-def _check_shape(n: int, m: int) -> None:
-    if m < 1 or 2 * m > n:
-        raise DomainError(f"need 1 <= m <= n/2, got n={n}, m={m}")
-
-
-def conditional_expectation(h: ModuleVector, assigned: Subset) -> Fraction:
-    """Exact average of h(assigned ∪ S) over all (m-a)-subsets S of the complement.
-
-    With a = len(assigned): a = 0 gives the global mean, a = m gives
-    h(assigned) itself.
-    """
-    n, m = h.n, h.l
-    assigned = check_subset(n, assigned)
-    a = len(assigned)
-    if a > m:
-        raise DomainError(f"assigned {assigned} has size {a} > m={m}")
-    taken = set(assigned)
-    complement = [j for j in range(1, n + 1) if j not in taken]
-    idx = subset_index(n, m)
-    nums = h.numerators
-    total = 0
-    for extra in combinations(complement, m - a):
-        total += nums[idx[tuple(sorted(assigned + extra))]]
-    return Fraction(total, h.denominator * comb(n - a, m - a))
 
 
 @lru_cache(maxsize=16)
@@ -115,7 +90,8 @@ def _superset_sums(h: ModuleVector) -> tuple[int, list[list[int]]]:
     """Down passes: D and S_a for a = 0..m.
 
     S_a(A) is D times the sum of h over the m-subsets containing A, so that
-    conditional_expectation(h, A) = S_a(A) / (D * C(n-a, m-a)).  Each step
+    S_a(A) / (D * C(n-a, m-a)) is the conditional expectation of h given the
+    points of A (`references.conditional_expectation`).  Each step
     divides the down pass exactly by m - a, the number of ways to add a point.
     """
     n, m = h.n, h.l
@@ -151,7 +127,7 @@ def _chains(h: ModuleVector, orders: Iterable[int]) -> Iterator[tuple[int, list[
     built from V_0 = k(l,0) * S_0 by V_{a+1} = up(V_a) + k(l,a+1) * S_{a+1}.
     """
     n, m = h.n, h.l
-    _check_shape(n, m)
+    check_shape(n, m)
     den, sums = _superset_sums(h)
     for l in orders:
         mult, coeffs = _chain_coefficients(n, m, l)

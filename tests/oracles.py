@@ -3,10 +3,11 @@
 Everything here recomputes library results from first principles along a
 different route: subset scanning instead of generating polynomials, exact
 least-squares against lifted-indicator spans instead of the coefficient
-recursion, a reversed-pivot elimination for ranks, and lifts, degeneracy
+recursion, a reversed-pivot elimination for ranks, subset images one point
+at a time, standard tableaux counted by enumeration, and lifts, degeneracy
 tests and the two inclusion-matrix passes themselves, found by set containment
 over `itertools.combinations` instead of the library's face tables, and the
-n!-walks of `verify` done one permutation at a time over full subset-image
+n!-walks of `references` done one permutation at a time over full subset-image
 tables instead of regrouped by cycle type or read at a few positions.
 """
 
@@ -16,15 +17,35 @@ from itertools import combinations
 from math import factorial, lcm
 
 from spechtstat import (
+    DomainError,
     ModuleVector,
     Permutation,
-    apply_perm_to_subset,
+    Subset,
     enumerate_permutations,
     enumerate_subsets,
     indicator,
     inner_product,
+    standard_tableaux,
 )
 from spechtstat.combinatorics import subset_images, subset_index
+
+
+def apply_perm_to_subset(x: Permutation, s: Subset) -> Subset:
+    """Pointwise image {x(j) : j in s}, re-sorted ascending."""
+    img = x.images
+    n = len(img)
+    if any(j < 1 or j > n for j in s):
+        raise DomainError(f"subset {s} not contained in [1..{n}]")
+    return tuple(sorted(img[j - 1] for j in s))
+
+
+def standard_tableau_count(n: int, l: int) -> int:
+    """Number of standard two-row tableaux, counted by direct enumeration."""
+    if l < 0 or 2 * l > n:
+        raise DomainError(f"shape ({n - l},{l}) is not a valid two-row shape")
+    if l == 0:
+        return 1
+    return len(standard_tableaux(n, l))
 
 
 def brute_fixed_subset_count(x: Permutation, l: int) -> int:

@@ -9,7 +9,7 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import degenerate_by_subset_scan, subset_scan_lift
+from oracles import degenerate_by_subset_scan, standard_tableau_count, subset_scan_lift
 
 from spechtstat import (
     ResourceLimitError,
@@ -27,7 +27,6 @@ from spechtstat import (
     random_module_vector,
     rank_of_span,
     specht_basis,
-    standard_tableau_count,
     two_row_character,
     u_statistic_lift,
     verify_decomposition,

@@ -3,18 +3,16 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import brute_fixed_subset_count
+from oracles import brute_fixed_subset_count, standard_tableau_count
 from spechtstat import (
     DomainError,
     Permutation,
     character_table,
-    conjugacy_class_size,
     dimension,
     enumerate_permutations,
-    partitions,
-    standard_tableau_count,
     two_row_character,
 )
+from spechtstat.characters import conjugacy_class_size, partitions
 
 
 class TestTwoRowCharacter:

@@ -7,6 +7,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import spechtstat
 from spechtstat import (
     dimension,
@@ -277,6 +282,40 @@ class TestBench:
     def test_above_ceiling_bench(self, capsys):
         assert main(["bench", "--n", "11", "--m", "2"]) == 0
         assert "infeasible" in capsys.readouterr().out
+
+
+class TestOutOfMemory:
+    """A shape whose vectors cannot be allocated exits 2 with one line, not a traceback."""
+
+    LIMIT = 2_000_000_000  # bytes of address space; C(34, 17) entries need ~18 GB
+
+    @pytest.mark.skipif(resource is None, reason="needs RLIMIT_AS")
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    def test_memory_error_is_input_error(self, command, tmp_path):
+        src = tmp_path / "big.mv"
+        dst = tmp_path / "big.dec"
+        src.write_text("n = 34\nl = 17\n" + ",".join(map(str, range(1, 18))) + " = 1\n")
+        args = {
+            "verify": ["verify", "--n", "34", "--m", "17", "--suite", "decomp", "--trials", "1"],
+            "decompose": ["decompose", "--n", "34", "--m", "17",
+                          "--input", str(src), "--out", str(dst)],
+        }[command]
+
+        def limit_memory():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = self.LIMIT if hard == resource.RLIM_INFINITY else min(self.LIMIT, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spechtstat.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: out of memory running {command}\n"
+        assert proc.stdout == ""
+        assert not dst.exists()
 
 
 class TestUsage:

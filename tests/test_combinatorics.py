@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_fixed_subset_count
+from oracles import apply_perm_to_subset, brute_fixed_subset_count, standard_tableau_count
 from spechtstat import (
     DEFAULT_ORACLE_CEILING,
     DomainError,
     Permutation,
     ResourceLimitError,
     Tableau,
-    Tabloid,
-    apply_perm_to_subset,
     enumerate_permutations,
     enumerate_subsets,
     fixed_subset_count,
-    standard_tableau_count,
     standard_tableaux,
 )
 from spechtstat.combinatorics import (
@@ -167,16 +164,6 @@ class TestTableau:
     def test_single_column(self):
         t = Tableau((1,), (2,))
         assert t.columns() == [(1, 2)]
-
-    def test_tabloid_forgets_order(self):
-        assert Tableau((2, 1, 3), (5, 4)).tabloid() == Tabloid(5, (4, 5))
-        assert Tableau((1, 2, 3, 4), (5, 6)).tabloid() == Tabloid(6, (5, 6))
-
-    def test_tabloid_invariant_under_row_reordering(self):
-        base = Tableau((1, 2, 3), (4, 5)).tabloid()
-        for top in itertools.permutations((1, 2, 3)):
-            for bottom in itertools.permutations((4, 5)):
-                assert Tableau(top, bottom).tabloid() == base
 
     def test_invalid_rows(self):
         with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    apply_perm_to_subset,
     brute_isotypic_projection,
     degenerate_by_subset_scan,
     hoeffding_projection_by_least_squares,
@@ -22,7 +23,6 @@ from spechtstat import (
     ModuleVector,
     ResourceLimitError,
     act,
-    apply_perm_to_subset,
     character_projection_oracle,
     conditional_expectation,
     decompose,
@@ -37,8 +37,8 @@ from spechtstat import (
     two_row_character,
     u_statistic_lift,
 )
-from spechtstat import hoeffding, verify
-from spechtstat.verify import clear_oracle_cache
+from spechtstat import hoeffding, references
+from spechtstat.references import clear_oracle_cache
 
 
 # Inputs at the edges of the common denominator D of the integer passes.
@@ -111,7 +111,7 @@ def test_kernel_route_never_builds_the_coefficient_table(monkeypatch):
         raise AssertionError("the kernel route built a CoefficientTable")
 
     assert not hasattr(hoeffding, "CoefficientTable")
-    monkeypatch.setattr(verify, "CoefficientTable", refuse)
+    monkeypatch.setattr(references, "CoefficientTable", refuse)
     n, m = 8, 4
     h = random_module_vector(n, m, 41)
     dec = decompose(h)
@@ -426,7 +426,7 @@ class TestOracle:
             assert character_projection_oracle(f, l) == brute_isotypic_projection(f, l, chi)
 
     def test_clear_oracle_cache_empties_every_oracle_cache(self):
-        caches = (verify._orbit_counts, verify._projection_weights)
+        caches = (references._orbit_counts, references._projection_weights)
         character_projection_oracle(random_module_vector(5, 2, 34), 1)
         assert all(c.cache_info().currsize > 0 for c in caches)
         clear_oracle_cache()

@@ -25,8 +25,9 @@ from spechtstat import (
     verify_shift_orthogonality,
     verify_specht,
 )
-from spechtstat import verify
-from spechtstat.verify import CheckResult, Lcg64, VerificationReport, clear_oracle_cache
+from spechtstat import references, verify
+from spechtstat.references import clear_oracle_cache
+from spechtstat.verify import CheckResult, Lcg64, VerificationReport
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all_n7_m3_trials2_seed1.txt"
 
@@ -213,33 +214,38 @@ class TestShiftedSums:
 
 
 class TestReferenceWalks:
-    """The two n! walks of `verify` against literal walks over full image tables."""
+    """The two n! walks of `references` against literal walks over full image tables."""
 
     @pytest.mark.parametrize(
         "n, m", [(n, m) for n in range(2, 8) for m in range(1, n // 2 + 1)] + [(8, 3)]
     )
     def test_fixed_point_route_equals_the_literal_walk(self, n, m):
         f = random_module_vector(n, m, 10 * n + m)
-        assert verify._fixed_point_route(f) == fixed_point_walk(f)
+        assert references._fixed_point_route(f) == fixed_point_walk(f)
 
     @pytest.mark.parametrize("n, m", [(6, 2), (7, 3), (8, 4)])
     def test_shift_pair_counts_equal_the_full_table_counts(self, n, m):
-        assert verify._shift_pair_counts(n, m) == shift_pairs_from_tables(n, m)
+        assert references._shift_pair_counts(n, m) == shift_pairs_from_tables(n, m)
 
     def test_all_suites_walk_the_group_twice(self, monkeypatch):
         # Once for the oracle's orbit counts, which the fixed-point route reads
         # too, and once for the shift suite's pair counts.
         clear_oracle_cache()
         walks = []
-        real = verify.enumerate_permutations
+        real = references.enumerate_permutations
         monkeypatch.setattr(
-            verify, "enumerate_permutations", lambda *a, **k: walks.append(a) or real(*a, **k)
+            references, "enumerate_permutations", lambda *a, **k: walks.append(a) or real(*a, **k)
         )
         assert all(r.ok for r in run_suites(RunConfig(n=6, m=3, seed=2, trials=2), "all"))
         assert walks == [(6,), (6,)]
 
     def test_oracle_caches_are_bounded(self):
-        caches = {name: obj for name, obj in vars(verify).items() if hasattr(obj, "cache_info")}
+        caches = {
+            name: obj
+            for module in (references, verify)
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info")
+        }
         assert {"_orbit_counts", "_projection_weights", "_projection_images"} <= set(caches)
         assert [name for name, c in caches.items() if c.cache_info().maxsize is None] == []
 
@@ -254,8 +260,8 @@ class TestReferenceWalks:
         for shape in shapes[::-1] + shapes:
             f = inputs[shape]
             assert [character_projection_oracle(f, l) for l in range(f.l + 1)] == first[shape]
-            assert verify._fixed_point_route(f) == first[shape][1]
-            assert verify._orbit_counts.cache_info().currsize == 1
+            assert references._fixed_point_route(f) == first[shape][1]
+            assert references._orbit_counts.cache_info().currsize == 1
 
 
 class TestGoldenOutput:
