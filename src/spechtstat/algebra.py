@@ -10,6 +10,7 @@ are built only when a caller first asks for them.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -20,16 +21,26 @@ from .combinatorics import (
     check_subset,
     enumerate_subsets,
     subset_images,
-    subset_index,
+    subset_position,
 )
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 
 def _layer_size(n: int, l: int) -> int:
-    """C(n, l), once n >= 1 and 0 <= l <= n hold (the bounds of `enumerate_subsets`)."""
+    """C(n, l), once n >= 1 and 0 <= l <= n hold (the bounds of `enumerate_subsets`).
+
+    Every allocation of a whole layer is sized here.  A layer longer than
+    `sys.maxsize`, the interpreter's hard limit on a list's length, is refused.
+    """
     if n < 1 or l < 0 or l > n:
         raise DomainError(f"shape (n={n}, l={l}) outside n >= 1, 0 <= l <= n")
-    return comb(n, l)
+    size = comb(n, l)
+    if size > sys.maxsize:
+        raise ResourceLimitError(
+            f"the layer of {l}-subsets of [1..{n}] has C({n}, {l}) = {size} entries, "
+            f"more than the interpreter's list limit sys.maxsize = {sys.maxsize}"
+        )
+    return size
 
 
 def _check_entry(v: object) -> None:
@@ -112,22 +123,20 @@ class ModuleVector:
     @classmethod
     def from_mapping(cls, n: int, l: int, mapping: Mapping[Subset, object]) -> "ModuleVector":
         """Build from a sparse {subset: value} mapping; absent subsets read as zero."""
-        idx = subset_index(n, l)
-        vals = [0] * comb(n, l)
+        vals = [0] * _layer_size(n, l)
         for key, v in mapping.items():
             s = check_subset(n, key)
             if len(s) != l:
                 raise DomainError(f"subset {s} has size {len(s)}, expected {l}")
-            vals[idx[s]] = v
+            vals[subset_position(n, s)] = v
         return cls(n, l, vals)
 
     def __getitem__(self, key: Iterable[int]) -> Fraction:
+        n, l = self.n, self.l
         s = tuple(sorted(key))
-        try:
-            i = subset_index(self.n, self.l)[s]
-        except KeyError:
-            raise DomainError(f"{s} is not an {self.l}-subset of [1..{self.n}]") from None
-        return Fraction(self.numerators[i], self.denominator)
+        if not (len(s) == len(set(s)) == l and all(isinstance(a, int) and 0 < a <= n for a in s)):
+            raise DomainError(f"{s} is not an {l}-subset of [1..{n}]")
+        return Fraction(self.numerators[subset_position(n, s)], self.denominator)
 
     def items(self) -> Iterator[tuple[Subset, Fraction]]:
         return zip(enumerate_subsets(self.n, self.l), self.values)
@@ -204,8 +213,8 @@ def indicator(n: int, s: Iterable[int]) -> ModuleVector:
     """The basis vector equal to 1 at subset s and 0 elsewhere."""
     s = check_subset(n, s)
     l = len(s)
-    nums = [0] * comb(n, l)
-    nums[subset_index(n, l)[s]] = 1
+    nums = [0] * _layer_size(n, l)
+    nums[subset_position(n, s)] = 1
     return ModuleVector.from_numerators(n, l, nums, 1)
 
 

@@ -2,7 +2,10 @@
 
 Everything here is 1-based: the ground set is [n] = {1, ..., n}.  A subset is
 a strictly increasing tuple of ints, a cycle type is a weakly decreasing tuple
-of positive ints summing to n.  All values are immutable and hashable.
+of positive ints summing to n.  All values are immutable and hashable.  A
+layer's canonical order is lexicographic: `subset_position` ranks one subset
+in closed form, and `_mask_index`, the only cached position table, places
+whole layers by bitmask.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
 
@@ -34,20 +38,23 @@ def enumerate_subsets(n: int, l: int) -> tuple[Subset, ...]:
     return tuple(itertools.combinations(range(1, n + 1), l))
 
 
-@lru_cache(maxsize=32)
-def subset_index(n: int, l: int) -> dict[Subset, int]:
-    """Position of each l-subset in the canonical order.  Treat as read-only.
+def subset_position(n: int, s: Sequence[int]) -> int:
+    """Canonical position of a sorted, validated subset s of [1..n], with no table.
 
-    Cached like `enumerate_subsets`: maxsize 32 covers every layer of one shape.
+    Its combinatorial-number-system rank: C(n, l) - 1 - sum over i of C(n - s[i], l - i),
+    with l = len(s) and i counted from 0; the sum counts the l-subsets after s.
     """
-    return {s: i for i, s in enumerate(enumerate_subsets(n, l))}
+    l = len(s)
+    return comb(n, l) - 1 - sum(comb(n - a, l - i) for i, a in enumerate(s))
 
 
 @lru_cache(maxsize=32)
 def _mask_index(n: int, l: int) -> dict[int, int]:
-    # Position of each l-subset in the canonical order, keyed by its bitmask:
-    # the sum of 1 << (a-1) over its points a.  Cached like `enumerate_subsets`.
-    return {sum(1 << (a - 1) for a in s): i for i, s in enumerate(enumerate_subsets(n, l))}
+    # Position of each l-subset in the canonical order, keyed by its bitmask, the
+    # sum of its point bits 1 << (a-1): the only cached position table, built
+    # from the bits with no subset tuple.  Cached like `enumerate_subsets`.
+    bits = [1 << a for a in range(n)]
+    return dict(zip(map(sum, itertools.combinations(bits, l)), itertools.count()))
 
 
 def subset_images(x: Permutation, l: int) -> list[int]:
@@ -62,8 +69,10 @@ def subset_images(x: Permutation, l: int) -> list[int]:
 
 
 def check_subset(n: int, elements: Iterable[int]) -> Subset:
-    """Validate and canonicalize a subset of [1..n] (sorted, distinct, in range)."""
+    """Validate and canonicalize a subset of [1..n] (sorted, distinct ints, in range)."""
     elems = tuple(sorted(elements))
+    if not all(isinstance(e, int) for e in elems):
+        raise DomainError(f"subset {elems} has a non-integer element")
     if len(set(elems)) != len(elems):
         raise DomainError(f"subset has repeated elements: {elems}")
     if elems and (elems[0] < 1 or elems[-1] > n):

@@ -19,9 +19,10 @@ Each section is read as integer pairs p/q and built with one lcm of its
 denominators; the writer reduces each entry by one gcd as it formats it.
 Values that repeat within one file are handled once per call.  The readers
 parse each distinct value text once, and a section that lists at least half
-of its subsets looks canonical keys ("1,4,7") up in a table built once per
-shape; every other spelling that `parse_subset` accepts (such as "7,1,4" or
-"01,4,7") is still accepted, through the same checks with the same messages.
+of its subsets maps canonical keys ("1,4,7") through a table built once per
+shape (text -> position); every other spelling that `parse_subset` accepts
+(such as "7,1,4" or "01,4,7") goes through the same checks with the same
+messages, then `subset_position`.  Records are keyed by position.
 The decomposition writer formats the mean once for all of component 0 and
 reuses the text of kernel m for component m, the two blocks that repeat
 values.  Nothing is cached between calls.
@@ -35,12 +36,13 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Callable
 
-from .algebra import ModuleVector
-from .combinatorics import Subset, enumerate_subsets, format_subset, parse_subset, subset_index
+from .algebra import ModuleVector, _layer_size
+from .combinatorics import enumerate_subsets, format_subset, parse_subset, subset_position
 from .errors import ParseError, ResourceLimitError
 from .hoeffding import HoeffdingDecomposition, u_statistic_lift
 
@@ -154,10 +156,10 @@ def _parse_header_int(lines: _NumberedLines, pos: int, name: str) -> int:
 def _parse_module_vector_lines(
     lines: _NumberedLines,
     rationals: dict[str, tuple[int, int]],
-    keys: dict[tuple[int, int], dict[str, Subset]],
+    keys: dict[tuple[int, int], dict[str, int]],
 ) -> ModuleVector:
     # rationals (value text -> (p, q)) and keys ((n, l) -> canonical subset
-    # text -> subset) live for one parse call and are shared by its sections.
+    # text -> position) live for one parse call and are shared by its sections.
     n = _parse_header_int(lines, 0, "n")
     l = _parse_header_int(lines, 1, "l")
     if n < 1 or l < 0 or l > n:
@@ -169,32 +171,31 @@ def _parse_module_vector_lines(
         # Built only for a section that lists at least half of its subsets, so a
         # sparse file of a huge shape allocates nothing before its records parse
         # (n is tested first to keep comb() cheap: C(n, l) >= n for 0 < l < n).
-        subsets = enumerate_subsets(n, l)
-        canonical = keys[n, l] = dict(zip(map(format_subset, subsets), subsets))
-    mapping: dict[Subset, tuple[int, int]] = {}
+        canonical = keys[n, l] = dict(zip(map(format_subset, enumerate_subsets(n, l)), count()))
+    mapping: dict[int, tuple[int, int]] = {}  # position -> (p, q)
     for lineno, line in records:
         key, value = _split_assignment(lineno, line)
-        subset = canonical.get(key)
-        if subset is None:
+        position = canonical.get(key)
+        if position is None:
             try:
                 subset = parse_subset(key)
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from None
             if len(subset) != l or (subset and subset[-1] > n):
                 raise ParseError(f"line {lineno}: {key!r} is not an {l}-subset of [1..{n}]")
-        if subset in mapping:
+            position = subset_position(n, subset)
+        if position in mapping:
             raise ParseError(f"line {lineno}: duplicate record for subset {key!r}")
         pair = rationals.get(value)
         if pair is None:
             pair = rationals[value] = _parse_pair(value, lineno)
-        mapping[subset] = pair
+        mapping[position] = pair
     # One lcm over the distinct denominators puts every entry over den.
     den = lcm(*{q for _, q in mapping.values()})
     scale = {q: den // q for _, q in mapping.values()}
-    nums = [0] * comb(n, l)
-    index = subset_index(n, l)
-    for subset, (p, q) in mapping.items():
-        nums[index[subset]] = p * scale[q]
+    nums = [0] * _layer_size(n, l)
+    for position, (p, q) in mapping.items():
+        nums[position] = p * scale[q]
     return ModuleVector.from_numerators(n, l, nums, den)
 
 
@@ -283,7 +284,7 @@ def decomposition_from_text(text: str) -> HoeffdingDecomposition:
     kernels: dict[int, ModuleVector] = {}
     components: dict[int, ModuleVector] = {}
     component_lines: dict[int, int] = {}
-    keys: dict[tuple[int, int], dict[str, Subset]] = {}
+    keys: dict[tuple[int, int], dict[str, int]] = {}
     for kind, index, lineno, body in sections:
         vec = _parse_module_vector_lines(body, rationals, keys)
         body.clear()

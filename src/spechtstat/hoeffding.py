@@ -20,14 +20,14 @@ of the input's denominators, with two inclusion-matrix operators between
 adjacent subset layers: the down pass (sum over the supersets with one more
 point) and the up pass (sum over the subsets with one point fewer).  Each
 pass into or out of layer b costs C(n, b) * b integer adds.  Both read layer
-b's face table, built once per (n, b) and held in a bounded cache in column
-form: b tuples, column k listing the position of each b-subset minus its k-th
-point.  An up pass is b C-level gathers over the columns, and a down pass
-scatters over the same columns.  Down passes give the superset sums behind
-every conditional expectation; one Horner chain of up passes per order l
-gives the kernel, and m - l more give its component.  Each output vector is
-built from its integer numerators and one denominator; no `Fraction` is made
-per entry.
+b's face table, built once per (n, b) from subset bitmasks, with no subset
+tuple, and held in a bounded cache in column form: b tuples, column k listing
+the position of each b-subset minus its k-th point.  An up pass is b C-level
+gathers over the columns, and a down pass scatters over the same columns.
+Down passes give the superset sums behind every conditional expectation; one
+Horner chain of up passes per order l gives the kernel, and m - l more give
+its component.  Each output vector is built from its integer numerators and
+one denominator; no `Fraction` is made per entry.
 
 The chain's coefficients are integers in closed form (see
 `_chain_coefficients`): k(l, a) = (-1)^(l-a) C(m-a, l-a) perm(n-l+1, a) over
@@ -49,7 +49,7 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .algebra import ModuleVector
-from .combinatorics import check_shape, enumerate_subsets, subset_index
+from .combinatorics import _mask_index, check_shape
 from .errors import DomainError
 
 
@@ -58,13 +58,15 @@ def _face_columns(n: int, b: int) -> tuple[tuple[int, ...], ...]:
     """Layer b's face table in column form: b tuples of length C(n, b).
 
     Column k holds, for each b-subset B in canonical order, the position of B
-    minus its k-th point among the (b-1)-subsets.  Built once per (n, b) and
+    minus its k-th point among the (b-1)-subsets, found by the face's bitmask in
+    `combinatorics._mask_index`, with no subset tuple.  Built once per (n, b) and
     held in an LRU cache of fixed maxsize 16, which covers every layer of one
     `decompose` with m <= 16.
     """
-    get = subset_index(n, b - 1).__getitem__
-    faces = chain.from_iterable(map(combinations, enumerate_subsets(n, b), repeat(b - 1)))
-    flat = list(map(get, faces))  # row by row; combinations drops the last point first
+    bits = [1 << a for a in range(n)]
+    get = _mask_index(n, b - 1).__getitem__
+    faces = chain.from_iterable(map(combinations, combinations(bits, b), repeat(b - 1)))
+    flat = list(map(get, map(sum, faces)))  # row by row; combinations drops the last point first
     return tuple(tuple(flat[b - 1 - k :: b]) for k in range(b))
 
 

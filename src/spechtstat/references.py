@@ -42,7 +42,7 @@ from .combinatorics import (
     enumerate_permutations,
     enumerate_subsets,
     subset_images,
-    subset_index,
+    subset_position,
 )
 from .errors import DomainError, ResourceLimitError
 
@@ -62,11 +62,10 @@ def conditional_expectation(h: ModuleVector, assigned: Subset) -> Fraction:
         raise DomainError(f"assigned {assigned} has size {a} > m={m}")
     taken = set(assigned)
     complement = [j for j in range(1, n + 1) if j not in taken]
-    idx = subset_index(n, m)
     nums = h.numerators
     total = 0
     for extra in itertools.combinations(complement, m - a):
-        total += nums[idx[tuple(sorted(assigned + extra))]]
+        total += nums[subset_position(n, sorted(assigned + extra))]
     return Fraction(total, h.denominator * comb(n - a, m - a))
 
 

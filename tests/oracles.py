@@ -27,7 +27,7 @@ from spechtstat import (
     inner_product,
     standard_tableaux,
 )
-from spechtstat.combinatorics import subset_images, subset_index
+from spechtstat.combinatorics import subset_images
 
 
 def apply_perm_to_subset(x: Permutation, s: Subset) -> Subset:
@@ -231,7 +231,7 @@ def shift_pairs_from_tables(n: int, m: int) -> list[Counter]:
     """For each overlap r = 0..m, how many permutations x send ({1..m}, k_r) to
     each pair of positions, k_r = {1..r, m+1..2m-r}, read from x's full table of
     subset images."""
-    idx = subset_index(n, m)
+    idx = {s: i for i, s in enumerate(combinations(range(1, n + 1), m))}
     overlap = [
         idx[tuple(range(1, r + 1)) + tuple(range(m + 1, 2 * m - r + 1))] for r in range(m + 1)
     ]

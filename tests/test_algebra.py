@@ -1,15 +1,21 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import perm_average_inner_product, rank_reversed_pivots
+import spechtstat
 from spechtstat import (
     DomainError,
     ModuleVector,
     Permutation,
+    ResourceLimitError,
     act,
     enumerate_permutations,
     enumerate_subsets,
@@ -57,6 +63,23 @@ class TestModuleVector:
         with pytest.raises(DomainError):
             f[(1, 2, 3)]
 
+    @pytest.mark.parametrize(
+        "key", [(0, 2), (2, 6), (2, 2), (1, 2, 3), (2, 0), (1.5, 2), (2.0, 5), ("a", "b")]
+    )
+    def test_getitem_keys_off_the_layer(self, key):
+        f = indicator(5, (2, 5))
+        s = tuple(sorted(key))
+        with pytest.raises(DomainError) as exc:
+            f[key]
+        assert str(exc.value) == f"{s} is not an 2-subset of [1..5]"
+
+    @pytest.mark.parametrize("s", [(1.5, 2), (2.0, 5), ("a", "b")])
+    def test_non_integer_points_are_refused(self, s):
+        with pytest.raises(DomainError, match="non-integer"):
+            indicator(5, s)
+        with pytest.raises(DomainError, match="non-integer"):
+            ModuleVector.from_mapping(5, 2, {s: 1})
+
     @pytest.mark.parametrize("bad", [0.1, "1/2", "2.5", "1e4000000", None])
     def test_entries_are_int_or_fraction_only(self, bad):
         # Fraction(v) would take the float as 3602879701896397/36028797018963968
@@ -95,6 +118,35 @@ class TestModuleVector:
     def test_mean(self):
         f = indicator(4, (1, 2))
         assert f.mean() == Fraction(1, 6)
+
+
+class TestLayerSizeLimit:
+    """A layer longer than the interpreter's list limit is refused before any allocation."""
+
+    MESSAGE = r"C\(70, 35\) = 112186277816662845432 entries, more than .* sys.maxsize"
+
+    def test_indicator(self):
+        with pytest.raises(ResourceLimitError, match=self.MESSAGE):
+            indicator(70, range(1, 36))
+
+    def test_constant(self):
+        with pytest.raises(ResourceLimitError, match=self.MESSAGE):
+            ModuleVector.constant(70, 35, 1)
+
+    def test_from_mapping(self):
+        # In a child with a timeout, so that a table of the whole layer fails
+        # the test instead of hanging it.
+        code = (
+            "from spechtstat import ModuleVector, ResourceLimitError\n"
+            "try:\n    ModuleVector.from_mapping(70, 35, {})\n"
+            "except ResourceLimitError as exc:\n    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "C(70, 35)" in proc.stdout and "sys.maxsize" in proc.stdout
 
 
 class TestAct:

@@ -34,7 +34,7 @@ DELETED = [
     "Rational", "GramMatrix", "cycle_type", "tabloid_of", "columns",
     "ColumnOperator", "lift_to_hoeffding", "coefficient_table",
     "DEFAULT_PERMUTATION_CEILING", "Tabloid", "apply_perm_to_subset",
-    "standard_tableau_count",
+    "standard_tableau_count", "subset_index",
 ]
 
 #: Still defined in `characters`, which uses them, but not exported.

@@ -318,6 +318,31 @@ class TestOutOfMemory:
         assert not dst.exists()
 
 
+class TestHugeLayer:
+    """A layer of more than sys.maxsize subsets exits 2 with one line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    def test_layer_past_the_list_limit_is_input_error(self, command, tmp_path):
+        src = tmp_path / "huge.mv"
+        dst = tmp_path / "huge.dec"
+        src.write_text("n = 70\nl = 35\n" + ",".join(map(str, range(1, 36))) + " = 1\n")
+        args = {
+            "verify": ["verify", "--n", "70", "--m", "35", "--suite", "decomp", "--trials", "1"],
+            "decompose": ["decompose", "--n", "70", "--m", "35",
+                          "--input", str(src), "--out", str(dst)],
+        }[command]
+        env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spechtstat.cli", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "C(70, 35)" in proc.stderr
+        assert proc.stdout == ""
+        assert not dst.exists()
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 2

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +22,13 @@ from spechtstat import (
     standard_tableaux,
 )
 from spechtstat.combinatorics import (
+    _mask_index,
     fixed_subset_count_of_type,
     format_cycle_type,
     format_subset,
     parse_cycle_type,
     parse_subset,
-    subset_index,
+    subset_position,
 )
 from spechtstat import combinatorics, decompose, decomposition_to_text, random_module_vector
 
@@ -50,9 +55,23 @@ class TestEnumerateSubsets:
             enumerate_subsets(5, l)
 
     def test_index_agrees(self):
-        idx = subset_index(5, 2)
+        idx = _mask_index(5, 2)
         for i, s in enumerate(enumerate_subsets(5, 2)):
-            assert idx[s] == i
+            assert idx[sum(1 << (a - 1) for a in s)] == i
+            assert subset_position(5, s) == i
+
+
+class TestSubsetPosition:
+    def test_equals_the_canonical_position_for_every_small_layer(self):
+        for n in range(1, 11):
+            for l in range(n + 1):
+                positions = [subset_position(n, s) for s in enumerate_subsets(n, l)]
+                assert positions == list(range(comb(n, l))), (n, l)
+
+    @pytest.mark.parametrize("n, l", [(40, 20), (60, 2)])
+    def test_first_and_last_subsets_of_large_layers(self, n, l):
+        assert subset_position(n, tuple(range(1, l + 1))) == 0
+        assert subset_position(n, tuple(range(n - l + 1, n + 1))) == comb(n, l) - 1
 
 
 class TestPermutation:
@@ -250,21 +269,39 @@ class TestSubsetCaches:
     def test_every_cache_is_bounded(self):
         caches = {name: obj for name, obj in vars(combinatorics).items()
                   if hasattr(obj, "cache_info")}
-        assert {"enumerate_subsets", "subset_index", "_mask_index"} <= set(caches)
+        # One cache of tuples and one of positions per layer, and the cycle-type polynomials.
+        assert set(caches) == {"enumerate_subsets", "_mask_index", "_fixed_subset_poly"}
         assert [name for name, c in caches.items() if c.cache_info().maxsize is None] == []
 
     def test_interleaved_shapes_past_the_bound_give_their_first_results(self):
-        # 17 shapes of 3 layers each: 51 (n, l) keys, more than the caches hold.
+        # 17 shapes, each putting 2 layers in each cache: 34 (n, l) keys, more
+        # than the caches hold.
         shapes = [(n, 2) for n in range(5, 22)]
         inputs = {shape: random_module_vector(*shape, 60 + shape[0]) for shape in shapes}
         first = {shape: decomposition_to_text(decompose(h)) for shape, h in inputs.items()}
         bound = enumerate_subsets.cache_info().maxsize
-        assert 3 * len(shapes) > bound
+        assert 2 * len(shapes) > bound
         for shape in shapes[::-1] + shapes:
             assert decomposition_to_text(decompose(inputs[shape])) == first[shape]
             assert enumerate_subsets.cache_info().currsize <= bound
-            assert subset_index.cache_info().currsize <= bound
+            assert _mask_index.cache_info().currsize <= bound
         assert enumerate_subsets.cache_info().currsize == bound
+
+    def test_decompose_builds_no_subset_tuples(self):
+        # A fresh process: the caches hold only what one decompose put there.
+        code = (
+            "from spechtstat import ModuleVector, decompose\n"
+            "from spechtstat import combinatorics as c\n"
+            "decompose(ModuleVector.from_numerators(12, 6, range(-462, 462), 7))\n"
+            "print(c.enumerate_subsets.cache_info().currsize, c._mask_index.cache_info().currsize,"
+            " hasattr(c, 'subset_index'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(combinatorics.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        # No tuple layer, one position table per layer 0..5, and no tuple-keyed table.
+        assert proc.stdout.split() == ["0", "6", "False"]
 
 
 @given(st.integers(2, 6), st.data())
