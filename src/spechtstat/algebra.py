@@ -10,7 +10,6 @@ are built only when a caller first asks for them.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -18,29 +17,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .combinatorics import (
     Permutation,
     Subset,
+    _layer_size,
     check_subset,
     enumerate_subsets,
     subset_images,
     subset_position,
 )
-from .errors import DomainError, ResourceLimitError
-
-
-def _layer_size(n: int, l: int) -> int:
-    """C(n, l), once n >= 1 and 0 <= l <= n hold (the bounds of `enumerate_subsets`).
-
-    Every allocation of a whole layer is sized here.  A layer longer than
-    `sys.maxsize`, the interpreter's hard limit on a list's length, is refused.
-    """
-    if n < 1 or l < 0 or l > n:
-        raise DomainError(f"shape (n={n}, l={l}) outside n >= 1, 0 <= l <= n")
-    size = comb(n, l)
-    if size > sys.maxsize:
-        raise ResourceLimitError(
-            f"the layer of {l}-subsets of [1..{n}] has C({n}, {l}) = {size} entries, "
-            f"more than the interpreter's list limit sys.maxsize = {sys.maxsize}"
-        )
-    return size
+from .errors import DomainError
 
 
 def _check_entry(v: object) -> None:

@@ -12,7 +12,6 @@ orthogonality sum over classes is checked at table-construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial
 
 from .combinatorics import (
@@ -24,7 +23,6 @@ from .combinatorics import (
 from .errors import DomainError
 
 
-@lru_cache(maxsize=None)
 def partitions(n: int) -> tuple[CycleType, ...]:
     """All partitions of n as weakly decreasing tuples, in ascending tuple order."""
     if n < 1:

@@ -5,12 +5,14 @@ a strictly increasing tuple of ints, a cycle type is a weakly decreasing tuple
 of positive ints summing to n.  All values are immutable and hashable.  A
 layer's canonical order is lexicographic: `subset_position` ranks one subset
 in closed form, and `_mask_index`, the only cached position table, places
-whole layers by bitmask.
+whole layers by bitmask.  Every whole layer in the package is sized by
+`_layer_size`, which refuses one longer than `sys.maxsize`.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -22,19 +24,31 @@ Subset = tuple[int, ...]
 CycleType = tuple[int, ...]
 
 
-@lru_cache(maxsize=32)
+def _layer_size(n: int, l: int) -> int:
+    """C(n, l), once n >= 1 and 0 <= l <= n hold (the bounds of `enumerate_subsets`).
+
+    Every allocation of a whole layer is sized here.  A layer longer than
+    `sys.maxsize`, the interpreter's hard limit on a list's length, is refused.
+    """
+    if n < 1 or l < 0 or l > n:
+        raise DomainError(f"shape (n={n}, l={l}) outside n >= 1, 0 <= l <= n")
+    size = comb(n, l)
+    if size > sys.maxsize:
+        raise ResourceLimitError(
+            f"the layer of {l}-subsets of [1..{n}] has C({n}, {l}) = {size} entries, "
+            f"more than the interpreter's list limit sys.maxsize = {sys.maxsize}"
+        )
+    return size
+
+
 def enumerate_subsets(n: int, l: int) -> tuple[Subset, ...]:
     """All l-element subsets of [1..n], sorted tuples in lexicographic order.
 
     This order is the canonical indexing contract: vector coordinates and
-    serialized records always follow it.  Held in an LRU cache of fixed
-    maxsize 32, which covers every layer of one shape (n, m) with m <= 31, so
-    that a run over many shapes keeps the tables of the most recent ones only.
+    serialized records always follow it.  Built afresh on each call, sized by
+    `_layer_size`; no caller reads one table often enough to keep it.
     """
-    if n < 1:
-        raise DomainError(f"population size must be positive, got n={n}")
-    if l < 0 or l > n:
-        raise DomainError(f"subset size l={l} outside [0..{n}]")
+    _layer_size(n, l)
     return tuple(itertools.combinations(range(1, n + 1), l))
 
 
@@ -52,7 +66,9 @@ def subset_position(n: int, s: Sequence[int]) -> int:
 def _mask_index(n: int, l: int) -> dict[int, int]:
     # Position of each l-subset in the canonical order, keyed by its bitmask, the
     # sum of its point bits 1 << (a-1): the only cached position table, built
-    # from the bits with no subset tuple.  Cached like `enumerate_subsets`.
+    # from the bits with no subset tuple.  Cached (maxsize 32) for the callers
+    # that read it again: `subset_images`, once per permutation, and the shift
+    # walk.  `hoeffding._face_columns` reads each table once, via `__wrapped__`.
     bits = [1 << a for a in range(n)]
     return dict(zip(map(sum, itertools.combinations(bits, l)), itertools.count()))
 

@@ -41,8 +41,14 @@ from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Callable
 
-from .algebra import ModuleVector, _layer_size
-from .combinatorics import enumerate_subsets, format_subset, parse_subset, subset_position
+from .algebra import ModuleVector
+from .combinatorics import (
+    _layer_size,
+    enumerate_subsets,
+    format_subset,
+    parse_subset,
+    subset_position,
+)
 from .errors import ParseError, ResourceLimitError
 from .hoeffding import HoeffdingDecomposition, u_statistic_lift
 
@@ -234,7 +240,8 @@ def decomposition_to_text(dec: HoeffdingDecomposition) -> str:
         else:
             block = _vector_block(comp, key_text[m])
         parts += [f"[component {l}]", block]
-    return "\n".join(parts) + "\n"
+    parts.append("")  # the final newline, without a second copy of the text
+    return "\n".join(parts)
 
 
 def decomposition_from_text(text: str) -> HoeffdingDecomposition:

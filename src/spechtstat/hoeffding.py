@@ -22,8 +22,9 @@ point) and the up pass (sum over the subsets with one point fewer).  Each
 pass into or out of layer b costs C(n, b) * b integer adds.  Both read layer
 b's face table, built once per (n, b) from subset bitmasks, with no subset
 tuple, and held in a bounded cache in column form: b tuples, column k listing
-the position of each b-subset minus its k-th point.  An up pass is b C-level
-gathers over the columns, and a down pass scatters over the same columns.
+the position of each b-subset minus its k-th point.  These columns are the
+only table a `decompose` leaves behind.  An up pass is b C-level gathers over
+the columns, and a down pass scatters over the same columns.
 Down passes give the superset sums behind every conditional expectation; one
 Horner chain of up passes per order l gives the kernel, and m - l more give
 its component.  Each output vector is built from its integer numerators and
@@ -59,12 +60,13 @@ def _face_columns(n: int, b: int) -> tuple[tuple[int, ...], ...]:
 
     Column k holds, for each b-subset B in canonical order, the position of B
     minus its k-th point among the (b-1)-subsets, found by the face's bitmask in
-    `combinatorics._mask_index`, with no subset tuple.  Built once per (n, b) and
-    held in an LRU cache of fixed maxsize 16, which covers every layer of one
-    `decompose` with m <= 16.
+    `combinatorics._mask_index`, with no subset tuple.  That mask table is read
+    once, here, so it is built uncached (`__wrapped__`) and dropped; the columns
+    are built once per (n, b) and held in an LRU cache of fixed maxsize 16,
+    which covers every layer of one `decompose` with m <= 16.
     """
     bits = [1 << a for a in range(n)]
-    get = _mask_index(n, b - 1).__getitem__
+    get = _mask_index.__wrapped__(n, b - 1).__getitem__
     faces = chain.from_iterable(map(combinations, combinations(bits, b), repeat(b - 1)))
     flat = list(map(get, map(sum, faces)))  # row by row; combinations drops the last point first
     return tuple(tuple(flat[b - 1 - k :: b]) for k in range(b))

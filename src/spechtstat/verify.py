@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .algebra import (
     ModuleVector,
@@ -33,6 +32,7 @@ from .combinatorics import (
     DEFAULT_ORACLE_CEILING,
     Permutation,
     Tableau,
+    _layer_size,
     check_shape,
     enumerate_subsets,
 )
@@ -96,7 +96,7 @@ def random_module_vector(n: int, m: int, seed: int) -> ModuleVector:
     """
     gen = Lcg64(seed)
     vals = []
-    for _ in range(comb(n, m)):
+    for _ in range(_layer_size(n, m)):
         num = gen.int_in(-9, 9)
         den = gen.int_in(1, 9)
         vals.append(Fraction(num, den))

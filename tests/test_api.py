@@ -139,6 +139,17 @@ class TestOnDemandLoading:
             "spechtstat.references", "spechtstat.verify", "spechtstat.characters", "spechtstat.specht"
         }.isdisjoint(loaded)
 
+    def test_an_argument_spelled_verify_loads_no_verify(self, tmp_path):
+        data = Path(__file__).parent / "data"
+        (tmp_path / "verify").write_bytes((data / "decompose_n10_m5.mv").read_bytes())
+        loaded = _loaded_after(
+            f"import os, spechtstat.cli; os.chdir({str(tmp_path)!r})\n"
+            "assert spechtstat.cli.main(['decompose', '--n', '10', '--m', '5', "
+            "'--input', 'verify', '--out', 'out.dec']) == 0"
+        )
+        assert "spechtstat.verify" not in loaded
+        assert (tmp_path / "out.dec").read_bytes() == (data / "decompose_n10_m5.dec").read_bytes()
+
     def test_reading_a_name_loads_its_home_module(self):
         loaded = _loaded_after("import spechtstat; spechtstat.dimension")
         assert "spechtstat.characters" in loaded and "spechtstat.verify" not in loaded

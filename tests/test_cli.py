@@ -250,7 +250,7 @@ class TestVerify:
         assert main(["verify", "--n", "4", "--m", "2", "--suite", "extra"]) == 0
         assert "suite extra:" in capsys.readouterr().out
         assert main(["verify", "--n", "4", "--m", "2", "--suite", "bogus"]) == 2
-        assert "choose from 'all', 'decomp', 'equiv', 'shift', 'specht', 'extra'" in (
+        assert "unknown suite 'bogus'; choose from all, decomp, equiv, shift, specht, extra" in (
             capsys.readouterr().err
         )
 
@@ -284,10 +284,18 @@ class TestBench:
         assert "infeasible" in capsys.readouterr().out
 
 
+MEMORY_LIMIT = 2_000_000_000  # bytes of address space; C(34, 17) entries need ~18 GB
+
+
+def _limit_memory():
+    """A child's `preexec_fn`: cap its address space at MEMORY_LIMIT."""
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = MEMORY_LIMIT if hard == resource.RLIM_INFINITY else min(MEMORY_LIMIT, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
 class TestOutOfMemory:
     """A shape whose vectors cannot be allocated exits 2 with one line, not a traceback."""
-
-    LIMIT = 2_000_000_000  # bytes of address space; C(34, 17) entries need ~18 GB
 
     @pytest.mark.skipif(resource is None, reason="needs RLIMIT_AS")
     @pytest.mark.parametrize("command", ["verify", "decompose"])
@@ -300,16 +308,10 @@ class TestOutOfMemory:
             "decompose": ["decompose", "--n", "34", "--m", "17",
                           "--input", str(src), "--out", str(dst)],
         }[command]
-
-        def limit_memory():
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            soft = self.LIMIT if hard == resource.RLIM_INFINITY else min(self.LIMIT, hard)
-            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
         env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-m", "spechtstat.cli", *args],
-            capture_output=True, text=True, env=env, timeout=120, preexec_fn=limit_memory,
+            capture_output=True, text=True, env=env, timeout=120, preexec_fn=_limit_memory,
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -321,7 +323,7 @@ class TestOutOfMemory:
 class TestHugeLayer:
     """A layer of more than sys.maxsize subsets exits 2 with one line, not a traceback."""
 
-    @pytest.mark.parametrize("command", ["verify", "decompose"])
+    @pytest.mark.parametrize("command", ["verify", "decompose", "specht", "bench"])
     def test_layer_past_the_list_limit_is_input_error(self, command, tmp_path):
         src = tmp_path / "huge.mv"
         dst = tmp_path / "huge.dec"
@@ -330,17 +332,20 @@ class TestHugeLayer:
             "verify": ["verify", "--n", "70", "--m", "35", "--suite", "decomp", "--trials", "1"],
             "decompose": ["decompose", "--n", "70", "--m", "35",
                           "--input", str(src), "--out", str(dst)],
+            "specht": ["specht", "--n", "70", "--l", "35", "--out", str(dst)],
+            "bench": ["bench", "--n", "70", "--m", "35"],
         }[command]
         env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
+        # The timeout and the memory cap make an unguarded enumeration fail, not hang.
         proc = subprocess.run(
-            [sys.executable, "-m", "spechtstat.cli", *args],
-            capture_output=True, text=True, env=env, timeout=60,
+            [sys.executable, "-m", "spechtstat.cli", *args], capture_output=True, text=True,
+            env=env, timeout=60, preexec_fn=_limit_memory if resource else None,
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and "C(70, 35)" in proc.stderr
         assert proc.stdout == ""
-        assert not dst.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.mv"]
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import os
+import pkgutil
 import subprocess
 import sys
 from math import comb
@@ -30,7 +32,9 @@ from spechtstat.combinatorics import (
     parse_subset,
     subset_position,
 )
-from spechtstat import combinatorics, decompose, decomposition_to_text, random_module_vector
+import spechtstat
+from spechtstat import algebra, combinatorics, fileformats, hoeffding, verify
+from spechtstat import decompose, decomposition_to_text, random_module_vector
 
 
 class TestEnumerateSubsets:
@@ -47,7 +51,7 @@ class TestEnumerateSubsets:
         subs = enumerate_subsets(6, 3)
         assert list(subs) == sorted(subs)
         assert len(set(subs)) == comb(6, 3)
-        assert enumerate_subsets(6, 3) == subs  # same object contract via cache
+        assert enumerate_subsets(6, 3) == subs  # the same table on every call
 
     @pytest.mark.parametrize("l", [-1, 6])
     def test_out_of_range(self, l):
@@ -265,43 +269,73 @@ class TestEnumeratePermutations:
         assert first == Permutation.identity(10)
 
 
+class TestLayerGate:
+    @pytest.mark.parametrize(
+        "build",
+        [enumerate_subsets, standard_tableaux, lambda n, l: random_module_vector(n, l, 0)],
+        ids=["enumerate_subsets", "standard_tableaux", "random_module_vector"],
+    )
+    def test_layer_past_the_list_limit_is_refused(self, build):
+        with pytest.raises(ResourceLimitError, match=r"C\(70, 35\)"):
+            build(70, 35)
+
+    def test_one_gate_sizes_every_layer(self):
+        gate = combinatorics._layer_size
+        assert [m.__name__ for m in (algebra, fileformats, verify) if m._layer_size is not gate] == []
+        assert gate(60, 30) == comb(60, 30)
+        with pytest.raises(DomainError):
+            enumerate_subsets(0, 0)
+
+
 class TestSubsetCaches:
     def test_every_cache_is_bounded(self):
-        caches = {name: obj for name, obj in vars(combinatorics).items()
-                  if hasattr(obj, "cache_info")}
-        # One cache of tuples and one of positions per layer, and the cycle-type polynomials.
-        assert set(caches) == {"enumerate_subsets", "_mask_index", "_fixed_subset_poly"}
+        caches = {}
+        for info in pkgutil.iter_modules(spechtstat.__path__):
+            module = importlib.import_module(f"spechtstat.{info.name}")
+            caches.update(
+                (f"{info.name}.{name}", obj) for name, obj in vars(module).items()
+                if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+            )
+        # Only the tables that some caller reads again.
+        assert set(caches) == {
+            "combinatorics._mask_index", "combinatorics._fixed_subset_poly",
+            "hoeffding._face_columns", "references._orbit_counts",
+            "references._projection_weights", "verify._projection_images",
+        }
         assert [name for name, c in caches.items() if c.cache_info().maxsize is None] == []
 
     def test_interleaved_shapes_past_the_bound_give_their_first_results(self):
-        # 17 shapes, each putting 2 layers in each cache: 34 (n, l) keys, more
-        # than the caches hold.
+        # 17 shapes, each putting 2 layers in the face cache: 34 (n, b) keys,
+        # more than the cache holds.
         shapes = [(n, 2) for n in range(5, 22)]
         inputs = {shape: random_module_vector(*shape, 60 + shape[0]) for shape in shapes}
         first = {shape: decomposition_to_text(decompose(h)) for shape, h in inputs.items()}
-        bound = enumerate_subsets.cache_info().maxsize
+        bound = hoeffding._face_columns.cache_info().maxsize
         assert 2 * len(shapes) > bound
         for shape in shapes[::-1] + shapes:
             assert decomposition_to_text(decompose(inputs[shape])) == first[shape]
-            assert enumerate_subsets.cache_info().currsize <= bound
-            assert _mask_index.cache_info().currsize <= bound
-        assert enumerate_subsets.cache_info().currsize == bound
+            assert hoeffding._face_columns.cache_info().currsize <= bound
+        assert hoeffding._face_columns.cache_info().currsize == bound
 
     def test_decompose_builds_no_subset_tuples(self):
         # A fresh process: the caches hold only what one decompose put there.
         code = (
+            "import sys\n"
             "from spechtstat import ModuleVector, decompose\n"
             "from spechtstat import combinatorics as c\n"
+            "calls, real = [], c.enumerate_subsets\n"
+            "for mod in list(sys.modules.values()):\n"
+            "    if vars(mod).get('enumerate_subsets') is real:\n"
+            "        mod.enumerate_subsets = lambda *a: calls.append(a) or real(*a)\n"
             "decompose(ModuleVector.from_numerators(12, 6, range(-462, 462), 7))\n"
-            "print(c.enumerate_subsets.cache_info().currsize, c._mask_index.cache_info().currsize,"
-            " hasattr(c, 'subset_index'))\n"
+            "print(len(calls), c._mask_index.cache_info().currsize, hasattr(c, 'subset_index'))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(combinatorics.__file__).parents[1]))
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
-        # No tuple layer, one position table per layer 0..5, and no tuple-keyed table.
-        assert proc.stdout.split() == ["0", "6", "False"]
+        # No tuple layer, no position table kept, and no tuple-keyed table.
+        assert proc.stdout.split() == ["0", "0", "False"]
 
 
 @given(st.integers(2, 6), st.data())

@@ -239,16 +239,6 @@ class TestReferenceWalks:
         assert all(r.ok for r in run_suites(RunConfig(n=6, m=3, seed=2, trials=2), "all"))
         assert walks == [(6,), (6,)]
 
-    def test_oracle_caches_are_bounded(self):
-        caches = {
-            name: obj
-            for module in (references, verify)
-            for name, obj in vars(module).items()
-            if hasattr(obj, "cache_info")
-        }
-        assert {"_orbit_counts", "_projection_weights", "_projection_images"} <= set(caches)
-        assert [name for name, c in caches.items() if c.cache_info().maxsize is None] == []
-
     def test_interleaved_shapes_give_their_first_projections(self):
         shapes = [(5, 2), (6, 3), (7, 2), (6, 1)]
         inputs = {shape: random_module_vector(*shape, 70 + sum(shape)) for shape in shapes}
