@@ -127,14 +127,15 @@ def _cmd_chartable(args) -> int:
 
 def _cmd_decompose(args) -> int:
     from .fileformats import load_module_vector, save_decomposition
-    from .hoeffding import decompose
+    from .hoeffding import _kernels_first
 
     h = load_module_vector(args.input)
     if h.n != args.n or h.l != args.m:
         raise DomainError(
             f"input file has shape (n={h.n}, l={h.l}), flags say (n={args.n}, m={args.m})"
         )
-    dec = decompose(h)
+    # The kernels are kept; each component is lifted, written and dropped in turn.
+    dec = _kernels_first(h)
     save_decomposition(dec, args.out)
     nonzero = sum(1 for l in range(1, dec.m + 1) if not dec.kernels[l].is_zero())
     print(f"wrote decomposition to {args.out}: mean={dec.mean}, {nonzero} nonzero kernels")

@@ -4,8 +4,9 @@ A statistic is a `ModuleVector` h on the m-subsets of [1..n], read as
 h(X(1), ..., X(m)) for the first m extractions without replacement.  This
 module holds the kernel route and nothing else: the down and up passes, the
 Horner chains built on them, the views `hoeffding_kernel`, `u_statistic_lift`,
-`project` and `is_completely_degenerate`, and `decompose`.  It computes, in
-exact rational arithmetic:
+`project` and `is_completely_degenerate`, and `decompose`.  `decompose` is
+built on `_kernels_first`, which computes the kernels and lifts each component
+only when it is asked for.  The module computes, in exact rational arithmetic:
 
   * the order-l completely degenerate kernels and their U-statistic lifts,
   * the orthogonal projections onto each symmetric Hoeffding space.
@@ -41,13 +42,14 @@ The route itself never builds that table; the double-sum oracle in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, repeat
 from math import comb, factorial, perm
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import ModuleVector
 from .combinatorics import _mask_index, check_shape
@@ -142,8 +144,9 @@ def _chains(h: ModuleVector, orders: Iterable[int]) -> Iterator[tuple[int, list[
         yield l, v, mult * den
 
 
-def _component(n: int, m: int, l: int, v: list[int], scale: int) -> ModuleVector:
+def _component(n: int, m: int, l: int, v: Sequence[int], scale: int) -> ModuleVector:
     """The U-statistic lift of the layer-l vector v / scale: m - l up passes, then / (m-l)!."""
+    v = list(v)  # a vector's numerators are a tuple, and a list's __getitem__ gathers faster
     for b in range(l + 1, m + 1):
         v = _up(v, _face_columns(n, b))
     return ModuleVector.from_numerators(n, m, v, scale * factorial(m - l))
@@ -227,6 +230,48 @@ class HoeffdingDecomposition:
         return total
 
 
+class _LiftedComponents(Mapping):
+    """Components 0..m of a decomposition, each computed from its kernel on every lookup.
+
+    Component 0 is the constant mean, component m is kernel m itself (its lift
+    to order m is the identity), and component l in between is the lift of
+    kernel l, m - l up passes.  Nothing is kept, so a caller that reads one
+    component at a time holds one component at a time.
+    """
+
+    def __init__(self, n: int, m: int, mean: Fraction, kernels: dict[int, ModuleVector]):
+        self._n, self._m, self._mean, self._kernels = n, m, mean, kernels
+
+    def __getitem__(self, l: int) -> ModuleVector:
+        n, m = self._n, self._m
+        if l == 0:
+            return ModuleVector.constant(n, m, self._mean)
+        phi = self._kernels[l]
+        return phi if l == m else _component(n, m, l, phi.numerators, phi.denominator)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self._m + 1))
+
+    def __len__(self) -> int:
+        return self._m + 1
+
+
+def _kernels_first(h: ModuleVector) -> HoeffdingDecomposition:
+    """h's mean and kernels from one set of down passes, with its components lifted on demand.
+
+    The kernels come from `_chains`; `components` is a `_LiftedComponents`
+    view that lifts each one when it is looked up.  `decompose` reads every
+    component once into a dict; a writer can read, format and drop them one at
+    a time.
+    """
+    n, m = h.n, h.l
+    mean = h.mean()
+    kernels = {
+        l: ModuleVector.from_numerators(n, l, v, scale) for l, v, scale in _chains(h, range(1, m + 1))
+    }
+    return HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(n, m, mean, kernels))
+
+
 def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     """Compute every kernel and component of h from one set of down passes.
 
@@ -236,11 +281,5 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     pass into layer b.  Each output vector keeps its integer numerators,
     reduced by one joint gcd.
     """
-    n, m = h.n, h.l
-    mean = h.mean()
-    kernels = {}
-    components = {0: ModuleVector.constant(n, m, mean)}
-    for l, v, scale in _chains(h, range(1, m + 1)):
-        kernels[l] = ModuleVector.from_numerators(n, l, v, scale)
-        components[l] = kernels[l] if l == m else _component(n, m, l, v, scale)
-    return HoeffdingDecomposition(n, m, mean, kernels, components)
+    dec = _kernels_first(h)
+    return replace(dec, components=dict(dec.components))

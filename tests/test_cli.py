@@ -153,15 +153,25 @@ class TestDecompose:
         dst = tmp_path / "long.dec"
         src.write_text(f"n = 4\nl = 2\n1,2 = 1/{a}\n3,4 = 1/{b}\n")
         env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spechtstat.cli", "decompose", "--n", "4", "--m", "2",
-             "--input", str(src), "--out", str(dst)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "digits" in proc.stderr
-        assert not dst.exists()
+        # Once with no output file, then over one that exists: it keeps its bytes.
+        for before in (None, b"an earlier output\n"):
+            if before is not None:
+                dst.write_bytes(before)
+            proc = subprocess.run(
+                [sys.executable, "-m", "spechtstat.cli", "decompose", "--n", "4", "--m", "2",
+                 "--input", str(src), "--out", str(dst)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+            assert "digits" in proc.stderr
+            if before is None:
+                assert not dst.exists()
+            else:
+                assert dst.read_bytes() == before
+            # No temporary file is left beside the output.
+            left = {p.name for p in tmp_path.iterdir()}
+            assert left == ({src.name, dst.name} if before else {src.name})
 
     def test_exponent_form_is_input_error(self, tmp_path):
         # Parsed as a Fraction, this 11-character value would build a ~400 MB integer.

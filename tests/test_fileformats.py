@@ -1,4 +1,8 @@
+import os
+import stat
 import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +22,7 @@ from spechtstat import (
     module_vector_from_text,
     module_vector_to_text,
     random_module_vector,
+    save_decomposition,
     save_module_vector,
 )
 from spechtstat import fileformats
@@ -96,6 +101,21 @@ class TestModuleVectorFormat:
             module_vector_from_text(text)
         assert fragment in str(exc.value)
 
+
+    @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\f", "\x1c", "\x85", "\u2028"])
+    def test_file_and_text_break_lines_alike(self, brk, tmp_path):
+        # A file is read line by line, and must number its lines as the text's
+        # str.splitlines() does, at every break it knows.
+        path = tmp_path / "breaks.mv"
+        good = f"n = 4{brk}l = 2{brk}1,2 = 1/2{brk}"
+        path.write_text(good, newline="")
+        want = ModuleVector(4, 2, [Fraction(1, 2)] + [0] * 5)
+        assert load_module_vector(path) == module_vector_from_text(good) == want
+        bad = f"n = 4{brk}l = 2{brk}{brk}1,2 = x{brk}"
+        path.write_text(bad, newline="")
+        for read in (lambda: module_vector_from_text(bad), lambda: load_module_vector(path)):
+            with pytest.raises(ParseError, match="^line 4: bad rational 'x'"):
+                read()
 
     def test_sparse_huge_shape_fails_before_any_key_table(self, monkeypatch):
         # C(40, 20) ~ 1.4e11 subsets: a bad record must fail without listing them.
@@ -252,10 +272,183 @@ class TestDecompositionFormat:
         assert f.values == (Fraction(1, 2), Fraction(1, 3), Fraction(-3, 2), 0)
         assert (f.denominator, f.numerators) == (6, (3, 2, -9, 0))
 
+    @needs_digit_limit
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_save_leaves_the_target_as_it_was(self, tmp_path, existing):
+        # The last block, component m, holds a value too long to format, so the
+        # write fails after every other block has gone to the temporary file.
+        dec = decompose(random_module_vector(5, 2, 84))
+        huge = ModuleVector(5, 2, [Fraction(10**DIGIT_LIMIT + 1)] * 10)
+        dec = HoeffdingDecomposition(5, 2, dec.mean, dec.kernels, {**dec.components, 2: huge})
+        path = tmp_path / "out.dec"
+        if existing:
+            path.write_text("an earlier output\n")
+        with pytest.raises(ResourceLimitError):
+            save_decomposition(dec, path)
+        assert [p.name for p in tmp_path.iterdir()] == (["out.dec"] if existing else [])
+        if existing:
+            assert path.read_text() == "an earlier output\n"
+
+    def test_save_replaces_the_target(self, tmp_path):
+        dec = decompose(random_module_vector(5, 2, 85))
+        path = tmp_path / "out.dec"
+        path.write_text("an earlier, longer output\n" * 100)
+        save_decomposition(dec, path)
+        assert path.read_text() == decomposition_to_text(dec)
+        assert [p.name for p in tmp_path.iterdir()] == ["out.dec"]
+
+    def test_save_through_a_symbolic_link_keeps_the_link(self, tmp_path):
+        dec = decompose(random_module_vector(5, 2, 85))
+        target = tmp_path / "target.dec"
+        target.write_text("an earlier output\n")
+        link = tmp_path / "link.dec"
+        link.symlink_to(target)
+        save_decomposition(dec, link)
+        assert link.is_symlink()
+        assert target.read_text() == decomposition_to_text(dec)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.dec", "target.dec"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_save_into_a_pipe_writes_in_place(self, tmp_path):
+        # A rename would put a regular file where the pipe was, which its reader never sees.
+        f = random_module_vector(5, 2, 86)
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+        reader.start()
+        save_module_vector(f, pipe)
+        reader.join(timeout=30)
+        assert got == [module_vector_to_text(f)]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
+
     def test_stray_preamble_line(self):
         with pytest.raises(ParseError) as exc:
             decomposition_from_text("n = 4\nm = 2\nmean = 0\nextra = 1\n[kernel 1]\nn = 4\nl = 1\n")
         assert "line 4" in str(exc.value)
+
+
+#: An n=6, m=2 decomposition: its preamble and its five sections, each with its
+#: header, in file order: kernels 1 and 2, then components 0, 1 and 2.
+ORDER_PREAMBLE, *ORDER_SECTIONS = decomposition_to_text(
+    decompose(random_module_vector(6, 2, 5))
+).split("[")
+ORDER_SECTIONS = ["[" + section for section in ORDER_SECTIONS]
+
+
+def _bumped(section):
+    # The section with a digit appended to its first record's value.
+    lines = section.split("\n")
+    lines[3] += "1"
+    return "\n".join(lines)
+
+
+def _order_text(*sections):
+    return ORDER_PREAMBLE + "".join(sections)
+
+
+K1, K2, C0, C1, C2 = ORDER_SECTIONS
+BAD_RECORD_K2 = K2.replace("l = 2\n", "l = 2\n1,2 = x\n")
+
+
+class TestErrorOrder:
+    """A file with several faults reports the one a parse of the whole text meets
+    first: a bad header anywhere, an empty file, the preamble, the sections in
+    file order, missing sections, component 0, then the lifts by order.  The
+    messages were taken from the reader that held the whole text."""
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                _order_text(K1, BAD_RECORD_K2, C0, C1, C2.replace("[component 2]", "[component two]")),
+                "line 68: bad section index in '[component two]'",
+            ),
+            (
+                _order_text(K1, K2, C0, C1.replace("[component 1]", "[component 1"), C2).replace(
+                    "m = 2", "m = x"
+                ),
+                "line 49: unterminated section header '[component 1'",
+            ),
+            (_order_text(K1, BAD_RECORD_K2, C0, C1, C2).replace("m = 2", "m = x"), "line 2: bad integer 'x' for 'm'"),
+            (
+                _order_text(C0, _bumped(C1), C2, K1, K2),
+                "line 22: component 1 is not the U-statistic lift of kernel 1",
+            ),
+            (
+                _order_text(K1, C0, _bumped(C1), C2),
+                "line 1: missing sections (kernels [2], components [])",
+            ),
+            (
+                _order_text(K1, K2, C0, _bumped(C1), C2.replace("l = 2\n", "l = 2\n9,9 = 1\n")),
+                "line 70: bad subset text '9,9'",
+            ),
+            (
+                _order_text(K1, K2, _bumped(C0), C1, _bumped(C2)),
+                "line 31: component 0 must be the constant mean vector",
+            ),
+        ],
+        ids=[
+            "bad-record-then-bad-header",
+            "bad-preamble-and-bad-header",
+            "bad-preamble-and-bad-record",
+            "components-before-kernels",
+            "missing-kernel-and-wrong-component",
+            "wrong-component-then-bad-record",
+            "wrong-component-2-and-component-0",
+        ],
+    )
+    def test_first_error_of_the_whole_text(self, text, message, tmp_path):
+        path = tmp_path / "faults.dec"
+        path.write_text(text)
+        for read in (decomposition_from_text, lambda _: load_decomposition(path)):
+            with pytest.raises(ParseError) as exc:
+                read(text)
+            assert str(exc.value) == message
+
+    def test_sections_in_any_order(self, tmp_path):
+        dec = decompose(random_module_vector(6, 2, 5))
+        text = _order_text(C2, C0, K2, C1, K1)
+        path = tmp_path / "shuffled.dec"
+        path.write_text(text)
+        assert decomposition_from_text(text) == load_decomposition(path) == dec
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """The decomposition of random_module_vector(16, 8, 1), and a file of it (5.6 MB)."""
+    dec = decompose(random_module_vector(16, 8, 1))
+    path = tmp_path_factory.mktemp("wide") / "wide.dec"
+    save_decomposition(dec, path)
+    return dec, path
+
+
+def _traced(call):
+    # call's result, the memory allocated during it that is still held after
+    # it, and the peak above that.
+    tracemalloc.start()
+    try:
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak - held
+
+
+class TestStreamedMemory:
+    """Neither end of a decomposition file holds its whole text, nor a table of
+    its values as wide as the file."""
+
+    def test_save_peak_is_below_the_file_size(self, wide):
+        dec, path = wide
+        _, held, transient = _traced(lambda: save_decomposition(dec, path))
+        assert held + transient < path.stat().st_size
+
+    def test_load_transient_peak_is_below_three_file_sizes(self, wide):
+        dec, path = wide
+        back, _, transient = _traced(lambda: load_decomposition(path))
+        assert back == dec
+        assert transient < 3 * path.stat().st_size
 
 
 @needs_digit_limit

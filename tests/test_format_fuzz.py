@@ -1,8 +1,11 @@
 """Property tests of both text readers: exact round trips of every accepted
-spelling, and mutated texts that fail only with the library's own errors."""
+spelling, and mutated texts that fail only with the library's own errors.
+Each text is read from a string and from a file, which must agree."""
 
+import tempfile
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,8 @@ from spechtstat import (
     decomposition_from_text,
     decomposition_to_text,
     enumerate_subsets,
+    load_decomposition,
+    load_module_vector,
     module_vector_from_text,
     module_vector_to_text,
     random_module_vector,
@@ -26,6 +31,30 @@ EQUALS = [" = ", "=", "  =\t"]
 
 #: The characters a mutation writes: digits and the format's punctuation.
 MUTATION_CHARS = "0123456789,=/+-[]# "
+
+
+def read_both(from_text, load, text):
+    """("ok", result) or (error type, message) of from_text(text), after checking
+    that load(path) of a file holding text gives the same."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_text(text)
+        for read in (lambda: from_text(text), lambda: load(path)):
+            try:
+                outcomes.append(("ok", read()))
+            except (ParseError, DomainError, ResourceLimitError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def read_vector(text):
+    return read_both(module_vector_from_text, load_module_vector, text)
+
+
+def read_decomposition(text):
+    return read_both(decomposition_from_text, load_decomposition, text)
 
 
 def random_value(rng):
@@ -76,9 +105,9 @@ def test_vector_round_trips_exactly(n, data, rng):
     for i in listed:
         vals[i] = random_value(rng)
     f = ModuleVector(n, l, vals)
-    assert module_vector_from_text(module_vector_to_text(f)) == f
+    assert read_vector(module_vector_to_text(f)) == ("ok", f)
     lines = spell_vector(rng, f, keep_zeros=True)
-    g = module_vector_from_text("\n".join(lines) + "\n")
+    _, g = read_vector("\n".join(lines) + "\n")
     assert g == f
     assert module_vector_to_text(g) == module_vector_to_text(f)
 
@@ -89,14 +118,14 @@ def test_decomposition_round_trips_exactly(n, data, rng):
     m = data.draw(st.integers(1, n // 2))
     h = ModuleVector(n, m, [random_value(rng) for _ in range(comb(n, m))])
     dec = decompose(h)
-    assert decomposition_from_text(decomposition_to_text(dec)) == dec
+    assert read_decomposition(decomposition_to_text(dec)) == ("ok", dec)
     sections = [(f"[kernel {l}]", dec.kernels[l]) for l in range(1, m + 1)]
     sections += [(f"[component {l}]", dec.components[l]) for l in range(m + 1)]
     rng.shuffle(sections)
     text = [f"n = {n}", f"m = {m}", f"mean = {spell_value(rng, dec.mean)}"]
     for header, vec in sections:
         text += [header, *spell_vector(rng, vec, keep_zeros=False)]
-    assert decomposition_from_text("\n".join(text) + "\n") == dec
+    assert read_decomposition("\n".join(text) + "\n") == ("ok", dec)
 
 
 def _header_values_at_most_12(text):
@@ -137,19 +166,12 @@ def mutations(draw, text):
     return out
 
 
-def _reads_or_refuses(reader, text):
-    try:
-        reader(text)
-    except (ParseError, DomainError, ResourceLimitError):
-        pass
-
-
 @given(st.integers(1, 8), st.data())
 @settings(max_examples=60, deadline=None)
 def test_mutated_vector_text_raises_only_library_errors(n, data):
     l = data.draw(st.integers(0, n))
     text = module_vector_to_text(random_module_vector(n, l, data.draw(st.integers(0, 99))))
-    _reads_or_refuses(module_vector_from_text, data.draw(mutations(text)))
+    read_vector(data.draw(mutations(text)))
 
 
 @given(st.integers(2, 7), st.data())
@@ -158,4 +180,4 @@ def test_mutated_decomposition_text_raises_only_library_errors(n, data):
     m = data.draw(st.integers(1, n // 2))
     h = random_module_vector(n, m, data.draw(st.integers(0, 99)))
     text = decomposition_to_text(decompose(h))
-    _reads_or_refuses(decomposition_from_text, data.draw(mutations(text)))
+    read_decomposition(data.draw(mutations(text)))
