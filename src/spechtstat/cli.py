@@ -134,7 +134,8 @@ def _cmd_decompose(args) -> int:
         raise DomainError(
             f"input file has shape (n={h.n}, l={h.l}), flags say (n={args.n}, m={args.m})"
         )
-    # The kernels are kept; each component is lifted, written and dropped in turn.
+    # The kernels and the chain's top layer are kept; each component is unpacked,
+    # written and dropped in turn.
     dec = _kernels_first(h)
     save_decomposition(dec, args.out)
     nonzero = sum(1 for l in range(1, dec.m + 1) if not dec.kernels[l].is_zero())

@@ -16,8 +16,8 @@ Decomposition format: a preamble with n, m and the mean, then one
 l = 0..m, each block holding a vector in the format above.
 
 Both formats are streamed.  The writers format one block at a time onto an
-open file: a decomposition whose components are lifted on demand
-(`hoeffding._kernels_first`, which the CLI writes) is lifted, written and
+open file: a decomposition whose components are built on demand
+(`hoeffding._kernels_first`, which the CLI writes) is built, written and
 dropped one component at a time.  The decomposition writer formats the mean
 once for all of component 0 and keeps the text of kernel m for component m,
 the two blocks that repeat values.  `save_module_vector` and
@@ -28,7 +28,8 @@ pipe, which a rename would replace, is written in place).
 `module_vector_to_text` and `decomposition_to_text` run the same writers into
 a `StringIO`.
 
-The readers take one line at a time, from the open file or from a text's
+The readers take one line at a time, from the open file (read as UTF-8: a
+byte that is not UTF-8 is a `ParseError` naming its line) or from a text's
 lines, and parse each record as it arrives into its position and integer pair
 p/q; a section becomes one integer list over one lcm of its denominators at
 the next header (the writer reduces each entry by one gcd as it formats it).
@@ -60,7 +61,7 @@ from fractions import Fraction
 from itertools import chain, count
 from math import comb, gcd, lcm
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
 
 from .algebra import ModuleVector
 from .combinatorics import (
@@ -193,19 +194,30 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def _file_lines(fh: TextIO) -> Iterator[str]:
-    # The open file's lines as str.splitlines() splits its whole text, which
-    # also breaks lines at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
-    return chain.from_iterable(map(str.splitlines, fh))
+def _file_lines(fh: BinaryIO) -> Iterator[str]:
+    # The lines of a file opened in binary mode, decoded as UTF-8 one line at a
+    # time and split as str.splitlines() splits its whole text, which also
+    # breaks lines at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.  A byte that
+    # is not UTF-8 raises UnicodeDecodeError, which `_content_lines` names.
+    return chain.from_iterable(map(str.splitlines, map(bytes.decode, fh)))
 
 
 def _content_lines(raw_lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     # Each line that holds content, numbered from 1, without its comment and
-    # surrounding blanks.
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    # surrounding blanks.  A line that does not decode is a ParseError naming it:
+    # the lines before the bad byte are counted by splitting its valid prefix.
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(raw_lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        lineno += len((exc.object[: exc.start].decode() + ".").splitlines())
+        raise ParseError(
+            f"line {lineno}: byte 0x{bad:02x} is not UTF-8 text ({exc.reason})"
+        ) from None
 
 
 def _split_assignment(lineno: int, line: str) -> tuple[str, str]:
@@ -340,13 +352,13 @@ def save_module_vector(f: ModuleVector, path: str | Path) -> None:
 
 
 def load_module_vector(path: str | Path) -> ModuleVector:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return _read_module_vector(_file_lines(fh))
 
 
 def _write_decomposition(write: Callable[[str], object], dec: HoeffdingDecomposition) -> None:
     # The blocks in file order, each written as soon as it is formatted.  Each
-    # component is looked up once, so a decomposition that lifts its components
+    # component is looked up once, so a decomposition that builds its components
     # on demand (`hoeffding._kernels_first`) holds one at a time.  Component 0
     # repeats the mean C(n, m) times, and component m is kernel m (its lift to
     # order m is the identity): neither is formatted again, so kernel m's text
@@ -576,5 +588,5 @@ def save_decomposition(dec: HoeffdingDecomposition, path: str | Path) -> None:
 
 
 def load_decomposition(path: str | Path) -> HoeffdingDecomposition:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return _read_decomposition(_file_lines(fh))

@@ -189,6 +189,21 @@ class TestDecompose:
         assert "line 3" in proc.stderr and "expected p or p/q" in proc.stderr
         assert not dst.exists()
 
+    def test_undecodable_byte_is_input_error(self, tmp_path):
+        src = tmp_path / "bytes.mv"
+        dst = tmp_path / "bytes.dec"
+        src.write_bytes(b"n = 4\nl = 2\n1,2 = 1\xff\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(spechtstat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spechtstat.cli", "decompose", "--n", "4", "--m", "2",
+             "--input", str(src), "--out", str(dst)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 3: byte 0xff is not UTF-8 text (invalid start byte)\n"
+        assert not dst.exists()
+
     def test_malformed_file_reports_line(self, tmp_path, capsys):
         src = tmp_path / "bad.mv"
         src.write_text("n = 4\nl = 2\n1,2 = oops\n")

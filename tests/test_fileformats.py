@@ -127,6 +127,41 @@ class TestModuleVectorFormat:
             module_vector_from_text("n = 40\nl = 20\n1,2 = 1\n")
 
 
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a ParseError naming its line, from both loaders,
+    and it comes before any other fault, as in a read of the whole text."""
+
+    @pytest.mark.parametrize(
+        "raw,lineno",
+        [
+            (b"n = 4\nl = 2\n1,2 = 1\xff\n", 3),
+            # \r\n ends one line; a form feed breaks another, as str.splitlines() does.
+            (b"n = 4\nl = 2\n# caf\xc3\xa9\r\n1,2 = 1\x0c1,3 = \xc3\n", 5),
+            (b"n = 4\nl = 2\n1,2 = x\n\n1,3 = 1\xfe\n", 5),
+        ],
+        ids=["end-of-record", "after-a-form-feed", "after-a-bad-record"],
+    )
+    def test_vector_file(self, raw, lineno, tmp_path):
+        path = tmp_path / "bad.mv"
+        path.write_bytes(raw)
+        message = f"^line {lineno}: byte 0x[0-9a-f]{{2}} is not UTF-8 text"
+        with pytest.raises(ParseError, match=message):
+            load_module_vector(path)
+
+    def test_decomposition_file(self, tmp_path):
+        text = decomposition_to_text(decompose(random_module_vector(6, 2, 5)))
+        lines = text.splitlines(keepends=True)
+        path = tmp_path / "bad.dec"
+        for at in (0, 3, len(lines) // 2, len(lines) - 1):
+            path.write_bytes("".join(lines[:at]).encode() + b"\x80" + "".join(lines[at:]).encode())
+            with pytest.raises(ParseError, match=f"^line {at + 1}: byte 0x80 is not UTF-8 text"):
+                load_decomposition(path)
+        path.write_bytes(b"[kernel x]\n" + "".join(lines).encode() + b"\xff")
+        message = f"^line {len(lines) + 2}: byte 0xff is not UTF-8 text"
+        with pytest.raises(ParseError, match=message):
+            load_decomposition(path)
+
+
 class TestKeySpellings:
     @pytest.mark.parametrize("key", ["1,2", "2,1", "01,2", "1 , 2", "+1,2", " 2 ,1 "])
     @pytest.mark.parametrize("dense", [False, True])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -363,6 +364,29 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(ModuleVector.zero(5, 3))
 
+    def test_m_up_passes_and_m_down_passes(self, monkeypatch):
+        passes = Counter()
+
+        def counted(name, op):
+            def wrapper(*args):
+                passes[name] += 1
+                return op(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(hoeffding, "_up", counted("up", hoeffding._up))
+        monkeypatch.setattr(hoeffding, "_down", counted("down", hoeffding._down))
+        for n, m in ((2, 1), (9, 4), (12, 6)):
+            h = random_module_vector(n, m, 50 + m)
+            passes.clear()
+            want = decompose(h)
+            assert passes == {"up": m, "down": m}, (n, m)
+            # The lazy view unpacks each component from the held top layer, with no pass.
+            lazy = hoeffding._kernels_first(h)
+            passes.clear()
+            assert list(lazy.components.values()) == list(want.components.values())
+            assert not passes
+
 
 @pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
 class TestCommonDenominatorEdges:
@@ -480,3 +504,69 @@ def test_kernel_degeneracy_property(seed, shape):
 def test_reconstruction_property(seed):
     h = random_module_vector(6, 2, seed)
     assert decompose(h).reconstruction() == h
+
+
+#: Shapes for the lane-width properties, all with n <= 8, m = 1 and n = 2m among them.
+_LANE_SHAPES = [(2, 1), (3, 1), (4, 2), (5, 1), (5, 2), (6, 3), (7, 1), (7, 3), (8, 1), (8, 4)]
+#: Denominators up to 400 bits, coprime and not, so that the common D grows huge.
+_HUGE_DENOMINATORS = (
+    1, 999983, 2**61 - 1, 2**127 - 1, 3**100, 10**40 + 1, 2**400, 999983 * (2**127 - 1),
+)
+
+
+@st.composite
+def _adversarial_vectors(draw):
+    n, m = draw(st.sampled_from(_LANE_SHAPES))
+    size = comb(n, m)
+    # The maximal magnitude sits just below, at or just above a power of two.
+    big = 2 ** draw(st.integers(0, 400)) + draw(st.sampled_from([-1, 0, 1]))
+    kinds = ["alternating", "one_against_the_rest", "single", "huge_denominators"]
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.integers(0, size - 1))
+    if kind == "alternating":
+        values = [(-1) ** i * big for i in range(size)]
+    elif kind == "one_against_the_rest":
+        values = [big if i == at else -big for i in range(size)]
+    elif kind == "single":
+        values = [0] * size
+        values[at] = Fraction(-big, draw(st.sampled_from(_HUGE_DENOMINATORS)))
+    else:
+        denominators = draw(
+            st.lists(st.sampled_from(_HUGE_DENOMINATORS), min_size=size, max_size=size)
+        )
+        values = [Fraction(draw(st.integers(-big, big)), q) for q in denominators]
+    return ModuleVector(n, m, values)
+
+
+@given(_adversarial_vectors())
+@settings(max_examples=40, deadline=None)
+def test_packed_lanes_match_the_references(h):
+    # decompose carries every order as one bit lane of a shared int: at the edge of
+    # the lane width's bound no lane may carry into another, so each projection
+    # equals the n!-permutation oracle, the double sum and least squares, none of
+    # which packs anything, and the one-lane views and per-order lifts agree.
+    n, m = h.n, h.l
+    dec = decompose(h)
+    assert dec.mean == h.mean()
+    for l in range(m + 1):
+        want = character_projection_oracle(h, l)
+        assert dec.components[l] == project(h, l) == want
+        if l:
+            assert dec.kernels[l] == hoeffding_kernel(h, l)
+            assert u_statistic_lift(dec.kernels[l], m) == want
+            if n <= 7:
+                assert references._double_sum_values(h, l) == want
+        if n <= 6:
+            assert hoeffding_projection_by_least_squares(h, l) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_lane_width_holds_where_its_bound_is_attained(n):
+    # At m = 1, one entry against all the others reaches the width's bound exactly
+    # (lane 1 is 2(n-1) * big there); with big just below a power of two the lane
+    # then fills its field up to one spare bit.
+    for k in range(1, 80):
+        big = 2**k - 1
+        h = ModuleVector(n, 1, [big] + [-big] * (n - 1))
+        centered = h - ModuleVector.constant(n, 1, h.mean())
+        assert hoeffding_kernel(h, 1) == project(h, 1) == decompose(h).kernels[1] == centered
