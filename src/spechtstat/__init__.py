@@ -52,17 +52,10 @@ _EXPORTS = {
     "references": ("CoefficientTable", "character_projection_oracle", "conditional_expectation"),
     "specht": ("polytabloid", "specht_basis"),
     "verify": (
-        "BenchResult",
-        "Lcg64",
         "RunConfig",
-        "VerificationReport",
         "bench",
         "random_module_vector",
         "run_suites",
-        "verify_decomposition",
-        "verify_equivalence",
-        "verify_shift_orthogonality",
-        "verify_specht",
     ),
 }
 #: Home module of each public name.

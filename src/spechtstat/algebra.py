@@ -131,10 +131,6 @@ class ModuleVector:
     def is_zero(self) -> bool:
         return not any(self.numerators)
 
-    def support(self) -> tuple[Subset, ...]:
-        subsets = enumerate_subsets(self.n, self.l)
-        return tuple(s for s, x in zip(subsets, self.numerators) if x)
-
     def _check_shape(self, other: "ModuleVector") -> None:
         if self.n != other.n or self.l != other.l:
             raise DomainError(

@@ -57,6 +57,10 @@ def _as_cycle_type(n: int, x: Permutation | CycleType) -> CycleType:
             raise DomainError(f"degree mismatch: permutation of [1..{x.n}], n={n}")
         return x.cycle_type()
     ct = tuple(x)
+    # Any order of parts counts the same, but a part that is not a positive int
+    # would index the fixed-subset polynomial wrongly or not at all.
+    if not all(isinstance(p, int) and p >= 1 for p in ct):
+        raise DomainError(f"cycle type {ct} has a part that is not a positive integer")
     if sum(ct) != n:
         raise DomainError(f"cycle type {ct} does not sum to {n}")
     return ct
@@ -91,11 +95,6 @@ class CharacterTable:
     n: int
     max_l: int
     rows: tuple[CharacterRow, ...]
-
-    def column(self, l: int) -> tuple[int, ...]:
-        if l < 0 or l > self.max_l:
-            raise DomainError(f"column l={l} outside [0..{self.max_l}]")
-        return tuple(row.values[l] for row in self.rows)
 
     def csv_text(self) -> str:
         """CSV export: header then one row per cycle type in table order."""

@@ -120,17 +120,6 @@ def format_subset(s: Subset) -> str:
     return ",".join(str(e) for e in s) if s else "-"
 
 
-def parse_cycle_type(text: str) -> CycleType:
-    """Parse the dash-joined text form, e.g. '3-2-1-1'."""
-    try:
-        parts = tuple(int(p) for p in text.strip().split("-"))
-    except ValueError:
-        raise DomainError(f"bad cycle type text {text!r}") from None
-    if not parts or any(p < 1 for p in parts) or list(parts) != sorted(parts, reverse=True):
-        raise DomainError(f"bad cycle type text {text!r}")
-    return parts
-
-
 def format_cycle_type(ct: CycleType) -> str:
     return "-".join(str(p) for p in ct)
 
@@ -138,7 +127,8 @@ def format_cycle_type(ct: CycleType) -> str:
 class Permutation:
     """A bijection of [1..n], stored as the image tuple: images[a-1] = x(a).
 
-    Composition follows (x * y)(a) = x(y(a)).
+    It maps points (x(a)), acts on vectors and tableaux (`algebra.act`,
+    `Tableau.apply`) and has a cycle type.
     """
 
     __slots__ = ("images",)
@@ -161,19 +151,6 @@ class Permutation:
         return len(self.images)
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
-    def transposition(cls, n: int, i: int, j: int) -> "Permutation":
-        """The permutation of [1..n] swapping i and j."""
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
-            raise DomainError(f"bad transposition ({i} {j}) on [1..{n}]")
-        images = list(range(1, n + 1))
-        images[i - 1], images[j - 1] = j, i
-        return cls(images)
-
-    @classmethod
     def from_cycles(cls, n: int, *cycles: Iterable[int]) -> "Permutation":
         """Build from disjoint cycles, e.g. from_cycles(5, (1, 2, 3), (4, 5))."""
         images = list(range(1, n + 1))
@@ -189,20 +166,6 @@ class Permutation:
 
     def __call__(self, a: int) -> int:
         return self.images[a - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise DomainError(f"degree mismatch: {self.n} vs {other.n}")
-        img = self.images
-        return Permutation(img[b - 1] for b in other.images)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for a, b in enumerate(self.images, start=1):
-            inv[b - 1] = a
-        return Permutation(inv)
 
     def cycle_type(self) -> CycleType:
         """Multiset of cycle lengths, sorted descending."""
@@ -220,9 +183,6 @@ class Permutation:
             lengths.append(length)
         lengths.sort(reverse=True)
         return tuple(lengths)
-
-    def fixed_points(self) -> int:
-        return sum(1 for a, b in enumerate(self.images, start=1) if a == b)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -328,27 +288,6 @@ class Tableau:
             tuple(img[a - 1] for a in self.top_row),
             tuple(img[a - 1] for a in self.bottom_row),
         )
-
-    def is_standard(self) -> bool:
-        """Strictly increasing rows and columns."""
-        rows_ok = all(a < b for a, b in zip(self.top_row, self.top_row[1:])) and all(
-            a < b for a, b in zip(self.bottom_row, self.bottom_row[1:])
-        )
-        cols_ok = all(self.top_row[k] < self.bottom_row[k] for k in range(self.m))
-        return rows_ok and cols_ok
-
-    @classmethod
-    def parse(cls, text: str) -> "Tableau":
-        """Parse the text form 'top;bottom', e.g. '2,1,3;5,4'."""
-        parts = text.strip().split(";")
-        if len(parts) != 2:
-            raise DomainError(f"tableau text must have two ';'-separated rows: {text!r}")
-        try:
-            top = tuple(int(p) for p in parts[0].split(","))
-            bottom = tuple(int(p) for p in parts[1].split(","))
-        except ValueError:
-            raise DomainError(f"bad tableau text {text!r}") from None
-        return cls(top, bottom)
 
     def text(self) -> str:
         return ";".join(",".join(str(a) for a in row) for row in (self.top_row, self.bottom_row))

@@ -442,7 +442,7 @@ class _DecompositionReader:
         else:
             if not preamble:
                 raise ParseError("line 1: empty decomposition file")
-        self._preamble(preamble)
+        self._preamble(preamble, header)
         while header is not None:
             kind, index, lineno = header
             # Only the key table of layer m is read again (by the components).
@@ -462,15 +462,18 @@ class _DecompositionReader:
             self.bad_header = exc
             raise
 
-    def _preamble(self, preamble: list[tuple[int, str]]) -> None:
+    def _preamble(
+        self, preamble: list[tuple[int, str]], header: tuple[str, int, int] | None
+    ) -> None:
+        # A missing line is named by the line before it, or by the first header.
         if not preamble:
-            raise ParseError("line 0: missing 'n = ...' header")
+            raise ParseError(f"line {header[2]}: missing 'n = ...' header")
         n = _header_int(*preamble[0], "n")
         if len(preamble) < 2:
             raise ParseError(f"line {preamble[0][0]}: missing 'm = ...' header")
         m = _header_int(*preamble[1], "m")
         if len(preamble) < 3:
-            raise ParseError("line 1: missing 'mean = ...' in preamble")
+            raise ParseError(f"line {preamble[1][0]}: missing 'mean = ...' in preamble")
         mean_lineno, mean_line = preamble[2]
         key, value = _split_assignment(mean_lineno, mean_line)
         if key != "mean":

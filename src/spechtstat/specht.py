@@ -1,7 +1,9 @@
 """Two-block Specht modules inside the subset permutation module.
 
-A polytabloid is built from a tableau by applying, to the indicator of its
-bottom-row set, one signed swap operator per column pair: f -> f - (swap f).
+A tableau's polytabloid is the product over its column pairs (i, j) of
+(1 - (i j)), applied to the indicator of its bottom-row set.  The column pairs
+are disjoint, so the product expands into one signed indicator per swap set:
+the bottom row with the chosen column pairs swapped, with sign (-1)^{#swaps}.
 The polytabloids of standard tableaux form a basis of the irreducible
 submodule of shape (n-l, l); lifting them as U-statistics lands them inside
 the order-l symmetric Hoeffding space.
@@ -9,16 +11,26 @@ the order-l symmetric Hoeffding space.
 
 from __future__ import annotations
 
-from .algebra import ModuleVector, act, indicator
-from .combinatorics import Permutation, Tableau, standard_tableaux
+import itertools
+
+from .algebra import ModuleVector
+from .combinatorics import Tableau, _layer_size, standard_tableaux, subset_position
 
 
 def polytabloid(t: Tableau) -> ModuleVector:
-    """The signed sum of 2^m indicators generated by t's column swaps."""
-    out = indicator(t.n, t.bottom_row)
-    for i, j in zip(t.top_row, t.bottom_row):
-        out = out - act(Permutation.transposition(t.n, i, j), out)
-    return out
+    """The signed sum of 2^m indicators, one per set of t's column pairs swapped.
+
+    Swapping a column pair replaces its bottom-row entry by its top-row entry.
+    Each of the 2^m swap sets gives a distinct m-subset, placed by
+    `subset_position`, so the cost is 2^m ranks on one layer of C(n, m) zeros.
+    """
+    n, m = t.n, t.m
+    nums = [0] * _layer_size(n, m)
+    columns = list(zip(t.bottom_row, t.top_row))
+    for swaps in itertools.product((0, 1), repeat=m):
+        bottom = sorted(pair[s] for pair, s in zip(columns, swaps))
+        nums[subset_position(n, bottom)] = (-1) ** sum(swaps)
+    return ModuleVector.from_numerators(n, m, nums, 1)
 
 
 def specht_basis(n: int, l: int) -> tuple[ModuleVector, ...]:

@@ -9,6 +9,13 @@ tests and the two inclusion-matrix passes themselves, found by set containment
 over `itertools.combinations` instead of the library's face tables, and the
 n!-walks of `references` done one permutation at a time over full subset-image
 tables instead of regrouped by cycle type or read at a few positions.
+
+Permutations are composed, inverted, counted and built as plain image tuples,
+images[a-1] = x(a), by `compose`, `invert`, `fixed_points` and
+`transposition`, so the library's `Permutation` needs none of these
+operations.  `polytabloid_by_column_product` builds a polytabloid as the
+literal product of (1 - (i j)) over its column pairs, applied to a dense
+indicator, with these helpers and no code of `specht`.
 """
 
 from collections import Counter
@@ -21,6 +28,7 @@ from spechtstat import (
     ModuleVector,
     Permutation,
     Subset,
+    Tableau,
     enumerate_permutations,
     enumerate_subsets,
     indicator,
@@ -30,13 +38,59 @@ from spechtstat import (
 from spechtstat.combinatorics import subset_images
 
 
+Images = tuple[int, ...]
+
+
+def compose(x: Images, y: Images) -> Images:
+    """The image tuple of x after y: a -> x(y(a))."""
+    return tuple(x[b - 1] for b in y)
+
+
+def invert(x: Images) -> Images:
+    """The image tuple of the inverse of x."""
+    inv = [0] * len(x)
+    for a, b in enumerate(x, start=1):
+        inv[b - 1] = a
+    return tuple(inv)
+
+
+def fixed_points(x: Images) -> int:
+    """The number of points a with x(a) = a."""
+    return sum(1 for a, b in enumerate(x, start=1) if a == b)
+
+
+def transposition(n: int, i: int, j: int) -> Images:
+    """The image tuple of the permutation of [1..n] swapping i and j."""
+    assert 1 <= i <= n and 1 <= j <= n and i != j
+    return tuple(j if a == i else i if a == j else a for a in range(1, n + 1))
+
+
+def _image(img: Images, s: Subset) -> Subset:
+    return tuple(sorted(img[j - 1] for j in s))
+
+
 def apply_perm_to_subset(x: Permutation, s: Subset) -> Subset:
     """Pointwise image {x(j) : j in s}, re-sorted ascending."""
     img = x.images
     n = len(img)
     if any(j < 1 or j > n for j in s):
         raise DomainError(f"subset {s} not contained in [1..{n}]")
-    return tuple(sorted(img[j - 1] for j in s))
+    return _image(img, s)
+
+
+def polytabloid_by_column_product(t: Tableau) -> ModuleVector:
+    """The product over t's column pairs (i, j) of (1 - (i j)), applied factor by
+    factor to the dense indicator of t's bottom-row set.  Each factor moves every
+    entry of a {subset: value} table to its image under the transposition's
+    image tuple, (x f)(x S) = f(S), and subtracts the moved table."""
+    n, m = t.n, t.m
+    bottom = tuple(sorted(t.bottom_row))
+    f = {S: Fraction(int(S == bottom)) for S in combinations(range(1, n + 1), m)}
+    for i, j in zip(t.top_row, t.bottom_row):
+        swap = transposition(n, i, j)
+        moved = {_image(swap, S): v for S, v in f.items()}
+        f = {S: v - moved[S] for S, v in f.items()}
+    return ModuleVector(n, m, list(f.values()))
 
 
 def standard_tableau_count(n: int, l: int) -> int:
@@ -206,7 +260,7 @@ def brute_isotypic_projection(f: ModuleVector, l: int, chi) -> ModuleVector:
     for K in enumerate_subsets(n, m):
         total = Fraction(0)
         for x in enumerate_permutations(n, ceiling=None):
-            total += chi(x) * f[apply_perm_to_subset(x.inverse(), K)]
+            total += chi(x) * f[_image(invert(x.images), K)]
         out.append(Fraction(dimension(n, l), factorial(n)) * total)
     return ModuleVector(n, m, out)
 
@@ -219,7 +273,7 @@ def fixed_point_walk(f: ModuleVector) -> ModuleVector:
     nums = f.numerators
     acc = [0] * len(nums)
     for x in enumerate_permutations(n, ceiling=None):
-        w = x.fixed_points() - 1
+        w = fixed_points(x.images) - 1
         if w:
             acc = [a + w * nums[p] for a, p in zip(acc, subset_images(x, m))]
     return ModuleVector.from_numerators(

@@ -9,7 +9,12 @@ from math import comb, factorial
 
 import pytest
 
-from oracles import degenerate_by_subset_scan, standard_tableau_count, subset_scan_lift
+from oracles import (
+    degenerate_by_subset_scan,
+    fixed_points,
+    standard_tableau_count,
+    subset_scan_lift,
+)
 
 from spechtstat import (
     ResourceLimitError,
@@ -29,9 +34,8 @@ from spechtstat import (
     specht_basis,
     two_row_character,
     u_statistic_lift,
-    verify_decomposition,
-    verify_shift_orthogonality,
 )
+from spechtstat.verify import verify_decomposition, verify_shift_orthogonality
 
 
 def _report(number: int, label: str, started: float) -> None:
@@ -94,7 +98,7 @@ def test_criterion_5_character_sanity():
     started = time.perf_counter()
     for n in range(2, 8):
         for x in enumerate_permutations(n):
-            assert two_row_character(n, 1, x) == x.fixed_points() - 1
+            assert two_row_character(n, 1, x) == fixed_points(x.images) - 1
     for n in range(2, 9):
         table = character_table(n, n // 2)
         for l in range(n // 2 + 1):

@@ -12,11 +12,11 @@ import pytest
 import spechtstat
 
 SURVIVING = [
-    "BenchResult", "CoefficientTable", "CycleType",
+    "CoefficientTable", "CycleType",
     "DEFAULT_ORACLE_CEILING", "DomainError",
-    "HoeffdingDecomposition", "Lcg64", "ModuleVector", "ParseError", "Permutation",
+    "HoeffdingDecomposition", "ModuleVector", "ParseError", "Permutation",
     "ResourceLimitError", "RunConfig", "Subset", "Tableau",
-    "VerificationReport", "act", "bench",
+    "act", "bench",
     "character_projection_oracle", "character_table", "conditional_expectation",
     "decompose", "decomposition_from_text",
     "decomposition_to_text", "dimension",
@@ -26,7 +26,13 @@ SURVIVING = [
     "module_vector_to_text", "polytabloid", "project",
     "random_module_vector", "rank_of_span", "run_suites", "save_decomposition",
     "save_module_vector", "specht_basis", "standard_tableaux",
-    "two_row_character", "u_statistic_lift", "verify_decomposition",
+    "two_row_character", "u_statistic_lift",
+]
+
+#: Off the surface, but still defined in `verify`, whose `SUITES` and
+#: `run_suites` reach the suites.
+VERIFY_ONLY = [
+    "BenchResult", "Lcg64", "VerificationReport", "verify_decomposition",
     "verify_equivalence", "verify_shift_orthogonality", "verify_specht",
 ]
 
@@ -34,7 +40,20 @@ DELETED = [
     "Rational", "GramMatrix", "cycle_type", "tabloid_of", "columns",
     "ColumnOperator", "lift_to_hoeffding", "coefficient_table",
     "DEFAULT_PERMUTATION_CEILING", "Tabloid", "apply_perm_to_subset",
-    "standard_tableau_count", "subset_index",
+    "standard_tableau_count", "subset_index", "parse_cycle_type",
+]
+
+#: Methods that nothing but the tests called, by class and home module.
+DELETED_METHODS = [
+    ("combinatorics", "Permutation", "identity"),
+    ("combinatorics", "Permutation", "inverse"),
+    ("combinatorics", "Permutation", "__mul__"),
+    ("combinatorics", "Permutation", "fixed_points"),
+    ("combinatorics", "Permutation", "transposition"),
+    ("combinatorics", "Tableau", "parse"),
+    ("combinatorics", "Tableau", "is_standard"),
+    ("characters", "CharacterTable", "column"),
+    ("algebra", "ModuleVector", "support"),
 ]
 
 #: Still defined in `characters`, which uses them, but not exported.
@@ -55,7 +74,7 @@ REFERENCES = [
 
 def test_all_is_the_surviving_surface():
     assert sorted(spechtstat.__all__) == sorted(SURVIVING)
-    assert len(spechtstat.__all__) == 50
+    assert len(spechtstat.__all__) == 43
     assert spechtstat.__all__ == sorted(spechtstat._HOME)
     for name in spechtstat.__all__:
         assert hasattr(spechtstat, name), name
@@ -73,6 +92,20 @@ def test_test_only_names_are_off_the_surface():
 def test_deleted_names_are_gone(module):
     mod = importlib.import_module(module)
     assert [name for name in DELETED if hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module,cls,name", DELETED_METHODS)
+def test_deleted_methods_are_gone(module, cls, name):
+    assert not hasattr(getattr(importlib.import_module(f"spechtstat.{module}"), cls), name)
+
+
+@pytest.mark.parametrize("name", VERIFY_ONLY)
+def test_verify_only_names_stay_in_verify(name):
+    verify = importlib.import_module("spechtstat.verify")
+    assert name not in spechtstat.__all__ and not hasattr(spechtstat, name)
+    assert getattr(verify, name).__module__ == verify.__name__
+    if name.startswith("verify_"):
+        assert getattr(verify, name) in verify.SUITES.values()
 
 
 def _imports(module: str) -> set[str]:

@@ -362,6 +362,17 @@ class TestDecompositionFormat:
             decomposition_from_text("n = 4\nm = 2\nmean = 0\nextra = 1\n[kernel 1]\nn = 4\nl = 1\n")
         assert "line 4" in str(exc.value)
 
+    def test_no_preamble_names_the_first_header(self):
+        with pytest.raises(ParseError, match=r"^line 1: missing 'n = \.\.\.' header$"):
+            decomposition_from_text("[kernel 1]\nn = 4\nl = 1\n")
+        with pytest.raises(ParseError, match=r"^line 3: missing 'n = \.\.\.' header$"):
+            decomposition_from_text("# no preamble\n\n[kernel 1]\nn = 4\nl = 1\n")
+
+    def test_missing_mean_names_the_m_line(self):
+        text = "# a\n# b\n\nn = 4\nm = 2\n[kernel 1]\nn = 4\nl = 1\n"
+        with pytest.raises(ParseError, match=r"^line 5: missing 'mean = \.\.\.' in preamble$"):
+            decomposition_from_text(text)
+
 
 #: An n=6, m=2 decomposition: its preamble and its five sections, each with its
 #: header, in file order: kernels 1 and 2, then components 0, 1 and 2.

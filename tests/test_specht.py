@@ -1,7 +1,13 @@
+import ast
+import inspect
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import polytabloid_by_column_product
+from spechtstat import specht
 from spechtstat import (
     DomainError,
     Tableau,
@@ -75,6 +81,27 @@ class TestPolytabloid:
     def test_mean_zero(self):
         for t in standard_tableaux(6, 2):
             assert polytabloid(t).mean() == 0
+
+    def test_equals_column_product_for_every_standard_tableau_up_to_n10(self):
+        for n in range(2, 11):
+            for l in range(1, n // 2 + 1):
+                for t in standard_tableaux(n, l):
+                    assert polytabloid(t) == polytabloid_by_column_product(t), t.text()
+
+    @given(st.integers(2, 12).flatmap(
+        lambda n: st.tuples(st.permutations(range(1, n + 1)), st.integers(1, n // 2))
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_column_product_for_any_tableau(self, case):
+        arrangement, m = case
+        t = Tableau(tuple(arrangement[m:]), tuple(arrangement[:m]))
+        assert polytabloid(t) == polytabloid_by_column_product(t)
+
+    def test_builds_from_swap_sets_without_the_group_action(self):
+        tree = ast.parse(inspect.getsource(specht))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert imported.isdisjoint({"act", "Permutation"})
 
 
 class TestSpechtBasis:

@@ -20,14 +20,19 @@ from spechtstat import (
     indicator,
     random_module_vector,
     run_suites,
+)
+from spechtstat import references, verify
+from spechtstat.references import clear_oracle_cache
+from spechtstat.verify import (
+    BenchResult,
+    CheckResult,
+    Lcg64,
+    VerificationReport,
     verify_decomposition,
     verify_equivalence,
     verify_shift_orthogonality,
     verify_specht,
 )
-from spechtstat import references, verify
-from spechtstat.references import clear_oracle_cache
-from spechtstat.verify import CheckResult, Lcg64, VerificationReport
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all_n7_m3_trials2_seed1.txt"
 
@@ -316,6 +321,7 @@ class TestReportRendering:
 class TestBench:
     def test_small_case_reports_both_routes(self):
         result = bench(5, 2, seed=0)
+        assert isinstance(result, BenchResult)
         assert result.kernel_seconds > 0
         assert result.oracle_seconds is not None
         assert "kernel route" in result.render()
