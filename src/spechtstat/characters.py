@@ -41,8 +41,8 @@ def partitions(n: int) -> tuple[CycleType, ...]:
 
 def conjugacy_class_size(n: int, ct: CycleType) -> int:
     """Size of the conjugacy class of cycle type ct, via the centralizer formula."""
-    ct = tuple(ct)
-    if sum(ct) != n or list(ct) != sorted(ct, reverse=True) or (ct and ct[-1] < 1):
+    ct = _as_cycle_type(n, ct)
+    if list(ct) != sorted(ct, reverse=True):
         raise DomainError(f"{ct} is not a partition of {n}")
     centralizer = 1
     for length in set(ct):

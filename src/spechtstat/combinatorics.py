@@ -127,8 +127,8 @@ def format_cycle_type(ct: CycleType) -> str:
 class Permutation:
     """A bijection of [1..n], stored as the image tuple: images[a-1] = x(a).
 
-    It maps points (x(a)), acts on vectors and tableaux (`algebra.act`,
-    `Tableau.apply`) and has a cycle type.
+    It acts on vectors and tableaux (`algebra.act`, `Tableau.apply`) and has a
+    cycle type.
     """
 
     __slots__ = ("images",)
@@ -163,9 +163,6 @@ class Permutation:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a - 1] = b
         return cls(images)
-
-    def __call__(self, a: int) -> int:
-        return self.images[a - 1]
 
     def cycle_type(self) -> CycleType:
         """Multiset of cycle lengths, sorted descending."""

@@ -44,10 +44,10 @@ messages, then `subset_position`.  Nothing is cached between calls.
 
 A decomposition file is accepted only if every component is the U-statistic
 lift of its kernel and component 0 is the constant mean.  Each component is
-checked as soon as it and its kernel have been read, and a file with several
-faults reports the one a parse of the whole text would: the first bad section
-header, then an empty file, the preamble, the sections in file order, missing
-sections, component 0 and the lifts.
+checked as soon as it and its kernel (or the mean) have been read.  Both
+readers raise the first fault that the lines read so far show and read no
+further: a bad line fails at that line, and a component that fails its check
+names its header line.  Only missing sections wait for the end of the file.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _split_assignment(lineno: int, line: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _header_int(lineno: int, line: str, name: str) -> int:
+def _named_int(lineno: int, line: str, name: str) -> int:
     key, value = _split_assignment(lineno, line)
     if key != name:
         raise ParseError(f"line {lineno}: expected '{name} = ...', got {line!r}")
@@ -264,9 +264,9 @@ class _VectorParser:
             if sections and line.startswith("["):
                 return lineno, line
             if self.n is None:
-                self.n, self.last = _header_int(lineno, line, "n"), lineno
+                self.n, self.last = _named_int(lineno, line, "n"), lineno
                 continue
-            n, l = self.n, _header_int(lineno, line, "l")
+            n, l = self.n, _named_int(lineno, line, "l")
             if n < 1 or l < 0 or l > n:
                 raise ParseError(f"line {self.last}: invalid shape n={n}, l={l}")
             self.l, self.last = l, lineno
@@ -322,21 +322,9 @@ class _VectorParser:
         return ModuleVector.from_numerators(self.n, self.l, nums, den)
 
 
-def _drain(lines: Iterator[tuple[int, str]]) -> None:
-    # Read the rest of the lines, as a parse of the whole text reads them all
-    # before it reports anything (an undecodable byte further on comes first).
-    for _ in lines:
-        pass
-
-
 def _read_module_vector(raw_lines: Iterable[str]) -> ModuleVector:
-    lines = _content_lines(raw_lines)
     parser = _VectorParser({}, {})
-    try:
-        parser.read(lines, sections=False)
-    except ParseError:
-        _drain(lines)
-        raise
+    parser.read(_content_lines(raw_lines), sections=False)
     if not parser.last:
         raise ParseError("line 1: empty vector file")
     return parser.finish()
@@ -410,82 +398,65 @@ def _section_header(lineno: int, line: str) -> tuple[str, int, int]:
 class _DecompositionReader:
     """A decomposition file read section by section from numbered content lines.
 
-    The preamble is parsed at the first header.  Each section's records are
-    parsed as they arrive, and the section is finished once the next header
-    has been read, or at the end.  Each component is checked against the
-    constant mean or its kernel's lift as soon as both are in.  Errors come
-    out in the order of a parse of the whole text: the first bad header
-    anywhere, an empty file, the preamble, the sections in file order, missing
-    sections, component 0, then the lifts by order.  So a failed check is
-    noted until the end, and `_read_decomposition` reads on past any other
-    error for a bad header.
+    The preamble's n, m and mean are parsed as their lines arrive.  Each
+    section's records are parsed as they arrive, and the section is finished
+    once the next header has been read, or at the end.  Each component is
+    checked against the constant mean or its kernel's lift as soon as both are
+    in.  The first fault met is raised and nothing further is read; missing
+    sections are reported at the end.
     """
 
     def __init__(self) -> None:
-        self.bad_header: ParseError | None = None
         self.kernels: dict[int, ModuleVector] = {}
         self.components: dict[int, ModuleVector] = {}
         self.component_lines: dict[int, int] = {}
         self.keys: dict[tuple[int, int], dict[str, int]] = {}
         self.kernel_m_values: dict[str, tuple[int, int]] = {}  # kept for component m
-        self.failed: set[int] = set()  # orders whose component failed its check
 
     def read(self, lines: Iterator[tuple[int, str]]) -> HoeffdingDecomposition:
-        preamble: list[tuple[int, str]] = []  # its first four lines
-        header = None
-        for lineno, line in lines:
-            if line.startswith("["):
-                header = self._header(lineno, line)
-                break
-            if len(preamble) < 4:
-                preamble.append((lineno, line))
-        else:
-            if not preamble:
-                raise ParseError("line 1: empty decomposition file")
-        self._preamble(preamble, header)
+        header = self._preamble(lines)
         while header is not None:
-            kind, index, lineno = header
+            kind, index, lineno = _section_header(*header)
             # Only the key table of layer m is read again (by the components).
             keys = self.keys if kind == "component" or index == self.m else {}
             parser = _VectorParser(self._values(kind, index), keys)
-            following = parser.read(lines, sections=True)
-            if following is not None:
-                following = self._header(*following)
+            header = parser.read(lines, sections=True)
             self._section(kind, index, lineno, parser)
-            header = following
-        return self._result()
+        missing_k = [l for l in range(1, self.m + 1) if l not in self.kernels]
+        missing_c = [l for l in range(self.m + 1) if l not in self.components]
+        if missing_k or missing_c:
+            raise ParseError(
+                f"line 1: missing sections (kernels {missing_k}, components {missing_c})"
+            )
+        return HoeffdingDecomposition(self.n, self.m, self.mean, self.kernels, self.components)
 
-    def _header(self, lineno: int, line: str) -> tuple[str, int, int]:
-        try:
-            return _section_header(lineno, line)
-        except ParseError as exc:
-            self.bad_header = exc
-            raise
-
-    def _preamble(
-        self, preamble: list[tuple[int, str]], header: tuple[str, int, int] | None
-    ) -> None:
-        # A missing line is named by the line before it, or by the first header.
-        if not preamble:
-            raise ParseError(f"line {header[2]}: missing 'n = ...' header")
-        n = _header_int(*preamble[0], "n")
-        if len(preamble) < 2:
-            raise ParseError(f"line {preamble[0][0]}: missing 'm = ...' header")
-        m = _header_int(*preamble[1], "m")
-        if len(preamble) < 3:
-            raise ParseError(f"line {preamble[1][0]}: missing 'mean = ...' in preamble")
-        mean_lineno, mean_line = preamble[2]
-        key, value = _split_assignment(mean_lineno, mean_line)
-        if key != "mean":
-            raise ParseError(f"line {mean_lineno}: expected 'mean = ...', got {mean_line!r}")
-        pair = _parse_pair(value, mean_lineno)
-        if len(preamble) > 3:
-            lineno, line = preamble[3]
-            raise ParseError(f"line {lineno}: unexpected content before first section: {line!r}")
+    def _preamble(self, lines: Iterator[tuple[int, str]]) -> tuple[int, str] | None:
+        # n, m and the mean, each parsed as its line arrives; returns the line
+        # after them, the first header (None at the end).  A missing line is
+        # named by the line before it, or by the first header.
+        first = next(lines, None)
+        if first is None:
+            raise ParseError("line 1: empty decomposition file")
+        n_lineno = first[0]
+        if first[1].startswith("["):
+            raise ParseError(f"line {n_lineno}: missing 'n = ...' header")
+        n = _named_int(*first, "n")
+        lineno, line = _preamble_line(lines, n_lineno, "missing 'm = ...' header")
+        m = _named_int(lineno, line, "m")
         if m < 1 or 2 * m > n:
-            raise ParseError(f"line {preamble[0][0]}: invalid shape n={n}, m={m}")
+            raise ParseError(f"line {n_lineno}: invalid shape n={n}, m={m}")
+        lineno, line = _preamble_line(lines, lineno, "missing 'mean = ...' in preamble")
+        key, value = _split_assignment(lineno, line)
+        if key != "mean":
+            raise ParseError(f"line {lineno}: expected 'mean = ...', got {line!r}")
+        pair = _parse_pair(value, lineno)
         self.n, self.m, self.mean = n, m, Fraction(*pair)
         self.mean_value = value, pair
+        following = next(lines, None)
+        if following is not None and not following[1].startswith("["):
+            lineno, line = following
+            raise ParseError(f"line {lineno}: unexpected content before first section: {line!r}")
+        return following
 
     def _values(self, kind: str, index: int) -> dict[str, tuple[int, int]]:
         # A section's value memo.  A value text is parsed once per section; the
@@ -531,54 +502,27 @@ class _DecompositionReader:
             return
         if l == 0:
             want = ModuleVector.constant(self.n, self.m, self.mean)
+            fault = "component 0 must be the constant mean vector"
         elif l in self.kernels:
             want = u_statistic_lift(self.kernels[l], self.m)
+            fault = f"component {l} is not the U-statistic lift of kernel {l}"
         else:
             return
-        if comp == want:
-            self.components[l] = want
-        else:
-            self.failed.add(l)
+        if comp != want:
+            raise ParseError(f"line {self.component_lines[l]}: {fault}")
+        self.components[l] = want
 
-    def _result(self) -> HoeffdingDecomposition:
-        n, m = self.n, self.m
-        missing_k = [l for l in range(1, m + 1) if l not in self.kernels]
-        missing_c = [l for l in range(m + 1) if l not in self.components]
-        if missing_k or missing_c:
-            raise ParseError(
-                f"line 1: missing sections (kernels {missing_k}, components {missing_c})"
-            )
-        if self.failed:
-            l = min(self.failed)
-            if l == 0:
-                raise ParseError(
-                    f"line {self.component_lines[0]}: component 0 must be the constant mean vector"
-                )
-            raise ParseError(
-                f"line {self.component_lines[l]}: component {l} is not the U-statistic lift "
-                f"of kernel {l}"
-            )
-        return HoeffdingDecomposition(n, m, self.mean, self.kernels, self.components)
+
+def _preamble_line(lines: Iterator[tuple[int, str]], lineno: int, missing: str) -> tuple[int, str]:
+    # The next preamble line; the end or a header there is missing, named at lineno.
+    following = next(lines, None)
+    if following is None or following[1].startswith("["):
+        raise ParseError(f"line {lineno}: {missing}")
+    return following
 
 
 def _read_decomposition(raw_lines: Iterable[str]) -> HoeffdingDecomposition:
-    lines = _content_lines(raw_lines)
-    reader = _DecompositionReader()
-    try:
-        return reader.read(lines)
-    except (ParseError, ResourceLimitError, MemoryError) as exc:
-        error = exc
-    if error is not reader.bad_header:
-        # A bad header further on is what a parse of the whole text reports first.
-        for lineno, line in lines:
-            if line.startswith("["):
-                try:
-                    _section_header(lineno, line)
-                except ParseError as exc:
-                    error = exc
-                    break
-    _drain(lines)
-    raise error
+    return _DecompositionReader().read(_content_lines(raw_lines))
 
 
 def decomposition_from_text(text: str) -> HoeffdingDecomposition:

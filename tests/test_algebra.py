@@ -321,7 +321,7 @@ def test_operations_agree_with_entrywise_fractions(f, data):
     images = {s: i for i, s in enumerate(enumerate_subsets(f.n, f.l))}
     moved = [Fraction(0)] * k
     for s, v in zip(enumerate_subsets(f.n, f.l), f.values):
-        moved[images[tuple(sorted(x(a) for a in s))]] = v
+        moved[images[tuple(sorted(x.images[a - 1] for a in s))]] = v
     results["act"] = (act(x, f), moved)
     for name, (got, want) in results.items():
         assert got.values == tuple(want), name

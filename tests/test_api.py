@@ -99,6 +99,11 @@ def test_deleted_methods_are_gone(module, cls, name):
     assert not hasattr(getattr(importlib.import_module(f"spechtstat.{module}"), cls), name)
 
 
+def test_permutation_call_is_gone():
+    # A class always has the metaclass's __call__, so ask an instance.
+    assert not callable(spechtstat.Permutation((2, 1)))
+
+
 @pytest.mark.parametrize("name", VERIFY_ONLY)
 def test_verify_only_names_stay_in_verify(name):
     verify = importlib.import_module("spechtstat.verify")

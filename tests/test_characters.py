@@ -117,6 +117,11 @@ class TestClassSizes:
         with pytest.raises(DomainError):
             conjugacy_class_size(4, (1, 2, 1))
 
+    @pytest.mark.parametrize("ct", [(2.5, 2.5), (5.0,), (3, 2, 0), (4, 2, -1)])
+    def test_part_that_is_not_a_positive_int(self, ct):
+        with pytest.raises(DomainError, match="not a positive integer"):
+            conjugacy_class_size(5, ct)
+
 
 class TestCharacterTable:
     def test_row_order_and_count_n4(self):

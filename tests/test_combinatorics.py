@@ -111,7 +111,7 @@ class TestPermutation:
         # the oracles' compose(x, y) is a -> x(y(a))
         x = Permutation.from_cycles(4, (1, 2))
         y = Permutation.from_cycles(4, (2, 3))
-        assert compose(x.images, y.images)[3 - 1] == x(y(3)) == 1
+        assert compose(x.images, y.images)[3 - 1] == x.images[y.images[3 - 1] - 1] == 1
 
     def test_inverse(self):
         x = Permutation.from_cycles(5, (1, 4, 2), (3, 5)).images
