@@ -28,19 +28,19 @@ pipe, which a rename would replace, is written in place).
 `module_vector_to_text` and `decomposition_to_text` run the same writers into
 a `StringIO`.
 
-The readers take one line at a time, from the open file (read as UTF-8: a
-byte that is not UTF-8 is a `ParseError` naming its line) or from a text's
-lines, and parse each record as it arrives into its position and integer pair
-p/q; a section becomes one integer list over one lcm of its denominators at
-the next header (the writer reduces each entry by one gcd as it formats it).
-A value text is parsed once per section.  Across sections only the repeats
-known in advance are kept: the mean's pair for component 0 and kernel m's
-values for component m.  Once a section's records cover an eighth of its
-subsets, canonical keys ("1,4,7") map through a table (text -> position),
-built once per call for layer m, which the components share, and once per
-section for the other kernels; every other spelling that `parse_subset` accepts
-(such as "7,1,4" or "01,4,7") goes through the same checks with the same
-messages, then `subset_position`.  Nothing is cached between calls.
+The readers take the lines of a text, split by `str.splitlines`, or of a file
+opened as UTF-8 text with universal newlines and split by `str.splitlines` as
+well, so that a file and its text read alike; a byte that is not UTF-8 is a
+`ParseError` naming its line.  Each record is parsed as it arrives into its
+position and integer pair p/q, and a section becomes one integer list over one
+lcm of its denominators at the next header.  A value text is parsed once per
+section; across sections only the known repeats are kept: the mean's pair for
+component 0 and kernel m's values for component m.  Once a section's records
+cover an eighth of its subsets, canonical keys ("1,4,7") map through a table
+(text -> position), built once per call for layer m, which the components
+share, and once per section for the other kernels; the other spellings that
+`parse_subset` accepts ("7,1,4", "01,4,7") take the same checks and messages,
+then `subset_position`.  Nothing is cached between calls.
 
 A decomposition file is accepted only if every component is the U-statistic
 lift of its kernel and component 0 is the constant mean.  Each component is
@@ -61,7 +61,7 @@ from fractions import Fraction
 from itertools import chain, count
 from math import comb, gcd, lcm
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .algebra import ModuleVector
 from .combinatorics import (
@@ -194,18 +194,19 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def _file_lines(fh: BinaryIO) -> Iterator[str]:
-    # The lines of a file opened in binary mode, decoded as UTF-8 one line at a
-    # time and split as str.splitlines() splits its whole text, which also
-    # breaks lines at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.  A byte that
-    # is not UTF-8 raises UnicodeDecodeError, which `_content_lines` names.
-    return chain.from_iterable(map(str.splitlines, map(bytes.decode, fh)))
+def _file_lines(fh: TextIO) -> Iterator[str]:
+    # The lines of a file opened as text (universal newlines, bytes that are not
+    # UTF-8 escaped), split again as str.splitlines() splits a text.  A line with
+    # an escaped byte raises the strict decoder's error, named by `_content_lines`.
+    for line in chain.from_iterable(map(str.splitlines, fh)):
+        if not line.isascii():
+            line.encode(errors="surrogateescape").decode()
+        yield line
 
 
 def _content_lines(raw_lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     # Each line that holds content, numbered from 1, without its comment and
-    # surrounding blanks.  A line that does not decode is a ParseError naming it:
-    # the lines before the bad byte are counted by splitting its valid prefix.
+    # surrounding blanks; a line that does not decode (the next) is a ParseError.
     lineno = 0
     try:
         for lineno, raw in enumerate(raw_lines, start=1):
@@ -214,10 +215,7 @@ def _content_lines(raw_lines: Iterable[str]) -> Iterator[tuple[int, str]]:
                 yield lineno, line
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
-        lineno += len((exc.object[: exc.start].decode() + ".").splitlines())
-        raise ParseError(
-            f"line {lineno}: byte 0x{bad:02x} is not UTF-8 text ({exc.reason})"
-        ) from None
+        raise ParseError(f"line {lineno + 1}: byte 0x{bad:02x} is not UTF-8 text ({exc.reason})") from None
 
 
 def _split_assignment(lineno: int, line: str) -> tuple[str, str]:
@@ -340,7 +338,7 @@ def save_module_vector(f: ModuleVector, path: str | Path) -> None:
 
 
 def load_module_vector(path: str | Path) -> ModuleVector:
-    with open(path, "rb") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return _read_module_vector(_file_lines(fh))
 
 
@@ -420,6 +418,7 @@ class _DecompositionReader:
             # Only the key table of layer m is read again (by the components).
             keys = self.keys if kind == "component" or index == self.m else {}
             parser = _VectorParser(self._values(kind, index), keys)
+            parser.last = lineno  # so that an empty section names its header line
             header = parser.read(lines, sections=True)
             self._section(kind, index, lineno, parser)
         missing_k = [l for l in range(1, self.m + 1) if l not in self.kernels]
@@ -535,5 +534,5 @@ def save_decomposition(dec: HoeffdingDecomposition, path: str | Path) -> None:
 
 
 def load_decomposition(path: str | Path) -> HoeffdingDecomposition:
-    with open(path, "rb") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return _read_decomposition(_file_lines(fh))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .algebra import (
     ModuleVector,
@@ -37,7 +37,6 @@ from .combinatorics import (
     enumerate_subsets,
 )
 from .errors import DomainError, ResourceLimitError
-from .fileformats import module_vector_to_text
 from .hoeffding import decompose, is_completely_degenerate, u_statistic_lift
 from .references import (
     _double_sum_values,
@@ -140,13 +139,15 @@ class VerificationReport:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def record(self, name: str, passed: bool, detail: str = "") -> None:
+    def record(self, name: str, passed: bool, detail: str | partial[str] = "") -> None:
         """Record one instance of the check `name`, listed in order of first record.
 
         A check passes while every instance passes; it then reads "k/k
         instances" once k > 1 were recorded.  A failed check keeps the detail
-        of its first failing instance.
+        of its first failing instance; a callable detail is called only then.
         """
+        if not passed and callable(detail):
+            detail = detail()
         total = self._instances.get(name, 0) + 1
         self._instances[name] = total
         if total == 1:
@@ -190,11 +191,13 @@ class VerificationReport:
         }
 
 
-def _offending(trial: int, text: str, note: str = "") -> str:
-    # text is the trial's input as `module_vector_to_text` writes it, formatted
-    # once per trial and shown only when a check fails.
+def _offending(trial: int, f: ModuleVector, note: str = "") -> str:
+    # A failed check's detail, with f as `module_vector_to_text` writes it; the
+    # suites record a partial, so that f is formatted only on failure.
+    from .fileformats import module_vector_to_text
+
     head = f"trial {trial}" + (f" ({note})" if note else "")
-    return head + "; input:\n" + text.rstrip("\n")
+    return head + "; input:\n" + module_vector_to_text(f).rstrip("\n")
 
 
 def verify_decomposition(config: RunConfig) -> VerificationReport:
@@ -219,8 +222,7 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
         f = random_module_vector(n, m, gen.next_uint())
         dec_h = decompose(h)
         dec_f = decompose(f)
-        text = module_vector_to_text(h)
-        where = _offending(trial, text)
+        where = partial(_offending, trial, h)
 
         report.record("reconstruction", dec_h.reconstruction() == h, where)
 
@@ -251,7 +253,7 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
             ),
             _ZERO,
         )
-        report.record("covariance_expansion", lhs == rhs, _offending(trial, text, "paired input"))
+        report.record("covariance_expansion", lhs == rhs, partial(_offending, trial, h, "paired input"))
 
     return report
 
@@ -280,7 +282,7 @@ def verify_equivalence(config: RunConfig) -> VerificationReport:
     for trial in range(config.trials):
         f = random_module_vector(n, m, gen.next_uint())
         fast = decompose(f)
-        where = _offending(trial, module_vector_to_text(f))
+        where = partial(_offending, trial, f)
         oracle_sum = ModuleVector.zero(n, m)
         for l in range(m + 1):
             slow = character_projection_oracle(f, l, ceiling=config.brute_force_ceiling)
@@ -344,7 +346,6 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
 
     for trial in range(config.trials):
         f0 = random_module_vector(n, m, gen.next_uint())
-        text = module_vector_to_text(f0)
         fc = numerators(f0)
         hc = numerators(random_module_vector(n, m, gen.next_uint()))
 
@@ -356,7 +357,7 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
                     report.record(
                         f"shifted_orthogonality_j{j}_l{l}_r{r}",
                         pair_sum(r, fc[j], hc[l]) == 0,
-                        _offending(trial, text, f"j={j} l={l} r={r}"),
+                        partial(_offending, trial, f0, f"j={j} l={l} r={r}"),
                     )
 
         # Negative control: the same-order, full-overlap sum is a squared norm,
@@ -366,7 +367,7 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
         report.record(
             "negative_control_same_order_norm_positive",
             bool(witness) and all(pair_sum(m, fv, fv) > 0 for fv in witness),
-            _offending(trial, text),
+            partial(_offending, trial, f0),
         )
 
     return report

@@ -164,6 +164,10 @@ class TestOnDemandLoading:
             ["", ".algebra", ".characters", ".combinatorics", ".errors", ".references"]
         ]
 
+    def test_verify_loads_no_file_formats(self):
+        # A failed check formats its input on demand; nothing else needs them.
+        assert "spechtstat.fileformats" not in _loaded_after("import spechtstat.verify")
+
     def test_decompose_command_loads_only_what_it_uses(self, tmp_path):
         out = tmp_path / "out.dec"
         loaded = _loaded_after(

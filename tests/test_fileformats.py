@@ -151,6 +151,19 @@ class TestUndecodableBytes:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
             load_module_vector(path)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b"n = 4\rl = 2\r1,2 = x\r1,3 = 1\r\xff\r", b"n = 4\nl = 2\n1,2 = x\x1c\xff\n"],
+        ids=["carriage-returns", "file-separator"],
+    )
+    def test_bad_byte_after_a_fault_on_one_newline_line(self, raw, tmp_path):
+        # Without a \n between them, the fault and the bad byte share one line of
+        # a reader that splits at \n: the file must still stop at the fault.
+        path = tmp_path / "bad.mv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match="^line 3: bad rational 'x'; expected p or p/q$"):
+            load_module_vector(path)
+
     def test_decomposition_file(self, tmp_path):
         text = decomposition_to_text(decompose(random_module_vector(6, 2, 5)))
         lines = text.splitlines(keepends=True)
@@ -390,6 +403,17 @@ class TestDecompositionFormat:
             decomposition_from_text("[kernel 1]\nn = 4\nl = 1\n")
         with pytest.raises(ParseError, match=r"^line 3: missing 'n = \.\.\.' header$"):
             decomposition_from_text("# no preamble\n\n[kernel 1]\nn = 4\nl = 1\n")
+
+    def test_empty_section_names_its_header(self, tmp_path):
+        text = "n = 4\nm = 2\nmean = 0\n[kernel 1]\n[kernel 2]\nn = 4\nl = 2\n"
+        path = tmp_path / "empty.dec"
+        path.write_text(text)
+        for read in (decomposition_from_text, lambda _: load_decomposition(path)):
+            with pytest.raises(ParseError, match=r"^line 4: missing 'n = \.\.\.' header$"):
+                read(text)
+        path.write_text("")
+        with pytest.raises(ParseError, match="^line 1: empty vector file$"):
+            load_module_vector(path)
 
     def test_missing_mean_names_the_m_line(self):
         text = "# a\n# b\n\nn = 4\nm = 2\n[kernel 1]\nn = 4\nl = 1\n"

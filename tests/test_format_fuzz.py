@@ -1,6 +1,8 @@
 """Property tests of both text readers: exact round trips of every accepted
 spelling, and mutated texts that fail only with the library's own errors.
-Each text is read from a string and from a file, which must agree."""
+Each text is read from a string and from a file, which must agree, and files
+with every line break, lines past 8 KB and bytes that are not UTF-8 read as
+their text."""
 
 import tempfile
 from fractions import Fraction
@@ -181,3 +183,89 @@ def test_mutated_decomposition_text_raises_only_library_errors(n, data):
     h = random_module_vector(n, m, data.draw(st.integers(0, 99)))
     text = decomposition_to_text(decompose(h))
     read_decomposition(data.draw(mutations(text)))
+
+
+#: Every line break that str.splitlines() knows.
+BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+#: Byte runs that are not UTF-8: a lone continuation byte, bytes that start no
+#: sequence, sequences cut short and an encoded surrogate.
+BAD_BYTES = [b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xed\xa0\x80"]
+
+
+def escaped(line):
+    """The bytes that the "surrogateescape" decoder escaped in line."""
+    return [ord(c) - 0xDC00 for c in line if "\udc80" <= c <= "\udcff"]
+
+
+def outcome(read, arg):
+    try:
+        return ("ok", read(arg))
+    except (ParseError, DomainError, ResourceLimitError) as exc:
+        return (type(exc), str(exc))
+
+
+def to_file_bytes(rng, text):
+    """text's lines as bytes, each ended by a random break, some padded past the
+    text layer's 8 KB chunk, and in two cases of three a byte run that is not
+    UTF-8 inserted at a random place in a random line or its break."""
+    lines = []
+    for line in text.splitlines():
+        if rng.random() < 0.1:
+            line = rng.choice([" " * 8200 + line, f"{line} # {'c' * 8200}"])
+        lines.append((line + rng.choice(BREAKS)).encode())
+        if rng.random() < 0.1:
+            lines.append(rng.choice(BREAKS).encode())
+    if lines and rng.random() < 2 / 3:
+        k = rng.randrange(len(lines))
+        at = rng.randint(0, len(lines[k]))
+        lines[k] = lines[k][:at] + rng.choice(BAD_BYTES) + lines[k][at:]
+    return b"".join(lines)
+
+
+def file_reads_as_its_text(from_text, load, raw):
+    """Check that load() of a file holding raw reads as from_text() of its text.
+
+    A file stops at the first line holding a byte that is not UTF-8.  So its
+    text is read with that line replaced by content that fails wherever it
+    comes (no '=', no '['), and the file must give the text's first fault if
+    that comes earlier, or else name the line and its first bad byte."""
+    lines = raw.decode(errors="surrogateescape").splitlines()
+    bad = next((k for k, line in enumerate(lines) if escaped(line)), None)
+    if bad is None:
+        want = outcome(from_text, raw.decode())
+    else:
+        byte = escaped(lines[bad])[0]
+        lines[bad] = "\x00"
+        want = outcome(from_text, "\n".join(lines))
+        if want[0] is ParseError and want[1].endswith("'\\x00'"):
+            assert want[1].startswith(f"line {bad + 1}: ")
+            want = (ParseError, f"line {bad + 1}: byte 0x{byte:02x} is not UTF-8 text (")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.txt"
+        path.write_bytes(raw)
+        got = outcome(load, path)
+    if want[0] is ParseError and want[1].endswith(" is not UTF-8 text ("):  # a reason follows
+        got = (got[0], got[1][: len(want[1])])
+    assert got == want
+
+
+@given(st.integers(1, 7), st.data(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_vector_file_reads_as_its_text(n, data, rng):
+    l = data.draw(st.integers(0, n))
+    text = module_vector_to_text(random_module_vector(n, l, data.draw(st.integers(0, 99))))
+    if data.draw(st.booleans()):
+        text = data.draw(mutations(text))
+    file_reads_as_its_text(module_vector_from_text, load_module_vector, to_file_bytes(rng, text))
+
+
+@given(st.integers(2, 6), st.data(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_decomposition_file_reads_as_its_text(n, data, rng):
+    m = data.draw(st.integers(1, n // 2))
+    h = random_module_vector(n, m, data.draw(st.integers(0, 99)))
+    text = decomposition_to_text(decompose(h))
+    if data.draw(st.booleans()):
+        text = data.draw(mutations(text))
+    file_reads_as_its_text(decomposition_from_text, load_decomposition, to_file_bytes(rng, text))

@@ -18,6 +18,7 @@ from spechtstat import (
     bench,
     character_projection_oracle,
     indicator,
+    module_vector_to_text,
     random_module_vector,
     run_suites,
 )
@@ -186,6 +187,14 @@ class TestPerturbedComponent:
             "order1_fixed_point_weighting",
             "projection_image_rank_l1",
         }
+
+    def test_failure_detail_shows_the_input_text(self):
+        # The input is formatted only when a check fails, as the file writer does.
+        report = verify_equivalence(RunConfig(n=6, m=2, seed=5, trials=2))
+        (check,) = [c for c in report.checks if c.name == "oracle_equals_projection_l1"]
+        f = random_module_vector(6, 2, Lcg64(5).next_uint())
+        assert check.detail == "trial 0; input:\n" + module_vector_to_text(f).rstrip("\n")
+        assert "-- trial 0; input:\n        n = 6\n        l = 2\n" in report.render()
 
     def test_shift_suite_fails(self):
         # Exactly the sums pairing the moved order-1 component with another
