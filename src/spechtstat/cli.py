@@ -127,7 +127,7 @@ def _cmd_chartable(args) -> int:
 
 def _cmd_decompose(args) -> int:
     from .fileformats import load_module_vector, save_decomposition
-    from .hoeffding import _kernels_first
+    from .hoeffding import decompose
 
     h = load_module_vector(args.input)
     if h.n != args.n or h.l != args.m:
@@ -136,7 +136,7 @@ def _cmd_decompose(args) -> int:
         )
     # The kernels and the chain's top layer are kept; each component is unpacked,
     # written and dropped in turn.
-    dec = _kernels_first(h)
+    dec = decompose(h)
     save_decomposition(dec, args.out)
     nonzero = sum(1 for l in range(1, dec.m + 1) if not dec.kernels[l].is_zero())
     print(f"wrote decomposition to {args.out}: mean={dec.mean}, {nonzero} nonzero kernels")

@@ -16,11 +16,10 @@ Decomposition format: a preamble with n, m and the mean, then one
 l = 0..m, each block holding a vector in the format above.
 
 Both formats are streamed.  The writers format one block at a time onto an
-open file: a decomposition whose components are built on demand
-(`hoeffding._kernels_first`, which the CLI writes) is built, written and
-dropped one component at a time.  The decomposition writer formats the mean
-once for all of component 0 and keeps the text of kernel m for component m,
-the two blocks that repeat values.  `save_module_vector` and
+open file: the components of `hoeffding.decompose`, unpacked on lookup, are
+built, written and dropped one at a time.  The decomposition writer formats
+the mean once for all of component 0 and keeps the text of kernel m for
+component m, the two blocks that repeat values.  `save_module_vector` and
 `save_decomposition` write to a temporary file beside the target and move it
 into place with `os.replace` after the last block, so a write that fails
 leaves no partial file and an existing target keeps its bytes (a device or
@@ -42,12 +41,13 @@ share, and once per section for the other kernels; the other spellings that
 `parse_subset` accepts ("7,1,4", "01,4,7") take the same checks and messages,
 then `subset_position`.  Nothing is cached between calls.
 
-A decomposition file is accepted only if every component is the U-statistic
-lift of its kernel and component 0 is the constant mean.  Each component is
-checked as soon as it and its kernel (or the mean) have been read.  Both
-readers raise the first fault that the lines read so far show and read no
-further: a bad line fails at that line, and a component that fails its check
-names its header line.  Only missing sections wait for the end of the file.
+A decomposition file is accepted only if every kernel is completely
+degenerate, every component is the U-statistic lift of its kernel and
+component 0 is the constant mean.  Each is checked as soon as it (and the
+kernel or mean it needs) has been read.  Both readers raise the first fault
+that the lines read so far show and read no further: a bad line fails at that
+line, and a kernel or component that fails its check names its header line.
+Only missing sections wait for the end of the file.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .combinatorics import (
     subset_position,
 )
 from .errors import ParseError, ResourceLimitError
-from .hoeffding import HoeffdingDecomposition, u_statistic_lift
+from .hoeffding import HoeffdingDecomposition, is_completely_degenerate, u_statistic_lift
 
 
 def _pair_text(p: int, q: int) -> str:
@@ -344,8 +344,8 @@ def load_module_vector(path: str | Path) -> ModuleVector:
 
 def _write_decomposition(write: Callable[[str], object], dec: HoeffdingDecomposition) -> None:
     # The blocks in file order, each written as soon as it is formatted.  Each
-    # component is looked up once, so a decomposition that builds its components
-    # on demand (`hoeffding._kernels_first`) holds one at a time.  Component 0
+    # component is looked up once, so a decomposition that unpacks its components
+    # on lookup (`hoeffding.decompose`) holds one at a time.  Component 0
     # repeats the mean C(n, m) times, and component m is kernel m (its lift to
     # order m is the identity): neither is formatted again, so kernel m's text
     # is kept until component m is written.
@@ -398,10 +398,10 @@ class _DecompositionReader:
 
     The preamble's n, m and mean are parsed as their lines arrive.  Each
     section's records are parsed as they arrive, and the section is finished
-    once the next header has been read, or at the end.  Each component is
-    checked against the constant mean or its kernel's lift as soon as both are
-    in.  The first fault met is raised and nothing further is read; missing
-    sections are reported at the end.
+    once the next header has been read, or at the end.  Each kernel is checked
+    for degeneracy, and each component against the constant mean or its
+    kernel's lift as soon as both are in.  The first fault met is raised and
+    nothing further is read; missing sections are reported at the end.
     """
 
     def __init__(self) -> None:
@@ -479,6 +479,8 @@ class _DecompositionReader:
                 raise ParseError(f"line {lineno}: kernel {index} must have l={index} in [1..{m}]")
             if index in self.kernels:
                 raise ParseError(f"line {lineno}: duplicate kernel {index}")
+            if not is_completely_degenerate(vec):
+                raise ParseError(f"line {lineno}: kernel {index} is not completely degenerate")
             self.kernels[index] = vec
             if index == m and m not in self.components:
                 self.kernel_m_values = values

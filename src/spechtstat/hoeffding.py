@@ -5,9 +5,9 @@ h(X(1), ..., X(m)) for the first m extractions without replacement.  This
 module holds the kernel route and nothing else: the down and up passes, the
 packed Horner chain built on them, the views `hoeffding_kernel`,
 `u_statistic_lift`, `project` and `is_completely_degenerate`, and `decompose`.
-`decompose` is built on `_kernels_first`, which runs the chain once and
-unpacks each component only when it is asked for.  The module computes, in
-exact rational arithmetic:
+`decompose` runs the chain once and returns a view that unpacks each
+component when it is looked up.  The module computes, in exact rational
+arithmetic:
 
   * the order-l completely degenerate kernels and their U-statistic lifts,
   * the orthogonal projections onto each symmetric Hoeffding space.
@@ -32,8 +32,7 @@ Down passes give the superset sums behind every conditional expectation.  One
 Horner chain of up passes (`_chain`) then carries every order l at once, as a
 bit lane of one int per subset: lane l of layer l is kernel l, and lane l of
 layer m is its component.  So a `decompose` is m down passes and m up passes,
-where a chain and a lift per order took m^2 up passes (36 at m = 6), each
-visiting layer b once with C(n, b) * b adds of ints m lanes wide.  Each
+each visiting layer b once with C(n, b) * b adds of ints m lanes wide.  Each
 output vector is built from its integer numerators and one denominator; no
 `Fraction` is made per entry.  Timings are in `decompose`.
 
@@ -49,12 +48,12 @@ The route itself never builds that table; the double-sum oracle in
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, combinations, repeat
 from math import comb, factorial, perm
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import ModuleVector
 from .combinatorics import _mask_index, check_shape
@@ -134,9 +133,27 @@ def _chain_coefficients(n: int, m: int, l: int) -> tuple[int, list[int]]:
     return comb(n - 2 * l, m - l) * perm(top, l), coeffs
 
 
-def _chain(
-    h: ModuleVector, orders: range, top: int
-) -> tuple[dict[int, ModuleVector], Callable[[int], ModuleVector]]:
+class _Packed(NamedTuple):
+    """Layer a of `_chain`: one int per a-subset, lane l at bit offset width * (hi - l)."""
+
+    n: int
+    a: int
+    ints: list[int]
+    width: int
+    hi: int
+    half: int  # half_0: each lane of layer a is offset by half * a!
+    scales: dict[int, int]  # l -> M_l * D
+
+
+def _lane(layer: _Packed, l: int) -> ModuleVector:
+    """Lane l of a packed layer as a vector: a shift, a mask and one subtraction per entry."""
+    n, a, ints, width, hi, half, scales = layer
+    s, mask, half_a = width * (hi - l), (1 << width) - 1, half * factorial(a)
+    nums = [(x >> s & mask) - half_a for x in ints]
+    return ModuleVector.from_numerators(n, a, nums, factorial(a - l) * scales[l])
+
+
+def _chain(h: ModuleVector, orders: range, top: int) -> tuple[dict[int, ModuleVector], _Packed]:
     """Check h's shape, run its down passes once, then one packed Horner chain for every order.
 
     Lane l, for l in orders, is the order-l chain, held at bit offset w * (hi - l)
@@ -162,7 +179,7 @@ def _chain(
     the same integers come out as from one chain per order.
 
     Returns the kernels {a: lane a of layer a} for a in orders with 1 <= a <= top,
-    and the unpacker of layer top: l -> lane l as a vector over its scale.
+    and layer top, whose lanes `_lane` reads.
     """
     n, m = h.n, h.l
     check_shape(n, m)
@@ -170,7 +187,8 @@ def _chain(
     hi = orders[-1]
     scales, coeffs = {}, {}
     for l in orders:
-        scales[l], coeffs[l] = _chain_coefficients(n, m, l)
+        scale, coeffs[l] = _chain_coefficients(n, m, l)
+        scales[l] = scale * den
     peaks = [max(map(abs, s)) for s in sums[: top + 1]]
     bound = 0
     for k in coeffs.values():
@@ -180,12 +198,7 @@ def _chain(
         bound = max(bound, b)
     half = -(-bound // factorial(top))  # half_0, at least bound / top!
     width = (factorial(top) * half).bit_length() + 1
-    mask, shift = (1 << width) - 1, {l: width * (hi - l) for l in orders}
-
-    def unpack(v: list[int], a: int, l: int) -> ModuleVector:
-        s, half_a = shift[l], half * factorial(a)
-        nums = [(x >> s & mask) - half_a for x in v]
-        return ModuleVector.from_numerators(n, a, nums, factorial(a - l) * scales[l] * den)
+    shift = {l: width * (hi - l) for l in orders}
 
     def packed(a: int) -> int:
         return sum(coeffs[l][a] << shift[l] for l in orders if l >= a)
@@ -198,15 +211,8 @@ def _chain(
         if k:
             v = [x + k * y for x, y in zip(v, sums[a])]
         if a in orders:
-            kernels[a] = unpack(v, a, a)
-    return kernels, partial(unpack, v, top)
-
-
-def _component(n: int, m: int, l: int, v: Sequence[int], scale: int) -> ModuleVector:
-    """The U-statistic lift of the layer-l vector v / scale: m - l up passes, then / (m-l)!."""
-    for b in range(l + 1, m + 1):
-        v = _up(v, _face_columns(n, b))
-    return ModuleVector.from_numerators(n, m, v, scale * factorial(m - l))
+            kernels[a] = _lane(_Packed(n, a, v, width, hi, half, scales), a)
+    return kernels, _Packed(n, top, v, width, hi, half, scales)
 
 
 def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
@@ -239,7 +245,10 @@ def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
         raise DomainError(f"cannot draw m={m} points from [1..{n}]")
     if l == m:
         return phi
-    return _component(n, m, l, phi.numerators, phi.denominator)
+    v = phi.numerators
+    for b in range(l + 1, m + 1):
+        v = _up(v, _face_columns(n, b))
+    return ModuleVector.from_numerators(n, m, v, phi.denominator * factorial(m - l))
 
 
 def project(h: ModuleVector, l: int) -> ModuleVector:
@@ -251,8 +260,8 @@ def project(h: ModuleVector, l: int) -> ModuleVector:
     """
     if l < 0 or l > h.l:
         raise DomainError(f"projection order l={l} outside [0..{h.l}]")
-    _, lane = _chain(h, range(l, l + 1), h.l)
-    return lane(l)
+    _, top = _chain(h, range(l, l + 1), h.l)
+    return _lane(top, l)
 
 
 def is_completely_degenerate(phi: ModuleVector) -> bool:
@@ -273,14 +282,14 @@ class HoeffdingDecomposition:
 
     components[0] is the constant mean vector; components[l] for l >= 1 is
     the lift of kernels[l]; the components sum back to the input exactly and
-    are pairwise orthogonal.
+    are pairwise orthogonal.  `decompose` unpacks each one on lookup.
     """
 
     n: int
     m: int
     mean: Fraction
     kernels: dict[int, ModuleVector]  # l -> kernel on l-subsets, l = 1..m
-    components: dict[int, ModuleVector]  # l -> component on m-subsets, l = 0..m
+    components: Mapping[int, ModuleVector]  # l -> component on m-subsets, l = 0..m
 
     def reconstruction(self) -> ModuleVector:
         total = ModuleVector.zero(self.n, self.m)
@@ -294,71 +303,54 @@ class _LiftedComponents(Mapping):
 
     Component 0 is the constant mean, component m is kernel m itself (its lift
     to order m is the identity), and component l in between is lane l of the
-    packed top layer that `_chain` leaves, read with a shift, a mask and a
-    subtraction.  Only that layer is held and no component is kept, so a caller
-    that reads one component at a time holds one component at a time.
+    packed top layer that `_chain` leaves (`_lane`).  Only that layer is held
+    and no component is kept, so a caller that reads one component at a time
+    holds one component at a time, and one that reads a component twice
+    unpacks it twice.
     """
 
-    def __init__(
-        self,
-        n: int,
-        m: int,
-        mean: Fraction,
-        kernels: dict[int, ModuleVector],
-        lane: Callable[[int], ModuleVector],
-    ):
-        self._n, self._m, self._mean, self._kernels, self._lane = n, m, mean, kernels, lane
+    def __init__(self, mean: Fraction, kernels: dict[int, ModuleVector], top: _Packed):
+        self._mean, self._kernels, self._top = mean, kernels, top
 
     def __getitem__(self, l: int) -> ModuleVector:
+        top = self._top
         if l == 0:
-            return ModuleVector.constant(self._n, self._m, self._mean)
+            return ModuleVector.constant(top.n, top.a, self._mean)
         phi = self._kernels[l]
-        return phi if l == self._m else self._lane(l)
+        return phi if l == top.a else _lane(top, l)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(self._m + 1))
+        return iter(range(self._top.a + 1))
 
     def __len__(self) -> int:
-        return self._m + 1
+        return self._top.a + 1
 
-
-def _kernels_first(h: ModuleVector) -> HoeffdingDecomposition:
-    """h's mean, kernels and components from one set of down passes and one packed chain.
-
-    `_chain` runs every order 1..m as one lane through m up passes: lane a of
-    layer a is kernel a, and the top layer holds every component at once.
-    `components` is a `_LiftedComponents` view that unpacks each one when it is
-    looked up, a shift, a mask and a subtraction per entry, where a lift cost
-    m - l up passes.  `decompose` reads every component once into a dict; a
-    writer can read, format and drop them one at a time.  The CLI's
-    `decompose`, which writes this view, took 2.3-3.1 s at (18, 9) against
-    2.8-3.7 s with a chain and a lift per order, and 10.7-11.1 s against
-    15.6-19.8 s at (20, 10); holding the packed top layer raised its peak RSS
-    from 59 to 63-64 MB and from 188 to 208 MB (3 runs each, Python 3.11.7,
-    2 shared vCPUs).
-    """
-    n, m = h.n, h.l
-    kernels, lane = _chain(h, range(1, m + 1), m)
-    mean = h.mean()
-    return HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(n, m, mean, kernels, lane))
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def decompose(h: ModuleVector) -> HoeffdingDecomposition:
-    """Compute every kernel and component of h from m down passes and m up passes.
+    """h's mean, kernels and components from m down passes and m up passes.
 
     The superset sums S_0..S_m are computed once on integers over the common
     denominator D; then one packed chain (`_chain`) carries all m orders as bit
     lanes of one int per subset, so each layer b is visited by one up pass,
-    C(n, b) * b adds of ints m lanes wide, where a chain and a lift per order
-    visited it m times.  Each output vector keeps its integer numerators,
-    reduced by one joint gcd.
+    C(n, b) * b adds of ints m lanes wide.  Lane a of layer a is kernel a, and
+    the top layer holds every component at once: `components` is a
+    `_LiftedComponents` view over it, which unpacks a component each time it
+    is looked up, one pass over the C(n, m) entries.  So a writer can read,
+    format and drop the components one at a time, and a caller that reads a
+    component twice should keep it in a local.  Each output vector keeps its
+    integer numerators, reduced by one joint gcd.
 
-    Median wall time in one process, one chain and one lift per order against
-    the packed chain, on entries p/q with |p| <= 9 and q <= 9 (Python 3.11.7,
-    2 shared vCPUs): (12, 6) 9.0 -> 5.6 ms, (16, 8) 0.29 -> 0.11 s, (18, 9)
-    1.5 -> 0.6 s, and (20, 10) 11 -> 6 s, a first call that also builds the
-    face columns.  Up passes: 36 -> 6, 64 -> 8, 81 -> 9, 100 -> 10; lane width
-    38, 49, 54 and 60 bits.
+    Median wall time in one process on `random_module_vector(n, m, 1)`,
+    entries p/q with |p| <= 9 and q <= 9, without and with one read of every
+    component (Python 3.11.7, 2 shared vCPUs): (12, 6) 2.8 and 3.9 ms,
+    (16, 8) 53 and 78 ms, (18, 9) 0.30 and 0.42 s, and (20, 10) 4.1 and
+    4.5 s, a first call that also builds the face columns.  Up passes: 6, 8,
+    9 and 10; lane width 38, 49, 54 and 60 bits.
     """
-    dec = _kernels_first(h)
-    return replace(dec, components=dict(dec.components))
+    n, m = h.n, h.l
+    kernels, top = _chain(h, range(1, m + 1), m)
+    mean = h.mean()
+    return HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(mean, kernels, top))

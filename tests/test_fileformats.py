@@ -25,6 +25,7 @@ from spechtstat import (
     random_module_vector,
     save_decomposition,
     save_module_vector,
+    u_statistic_lift,
 )
 from spechtstat import fileformats
 from spechtstat.fileformats import format_rational, parse_rational
@@ -337,6 +338,25 @@ class TestDecompositionFormat:
         assert str(exc.value) == (
             f"line {line}: component {l} is not the U-statistic lift of kernel {l}"
         )
+
+    def test_kernel_that_is_not_completely_degenerate(self, tmp_path):
+        # Each component is its kernel's lift and component 0 the mean, yet kernel 1
+        # is not degenerate: the components average 27/5, not the mean 5.
+        kernels = {1: indicator(6, (1,)), 2: indicator(6, (1, 2))}
+        comps = {0: ModuleVector.constant(6, 2, 5), 1: u_statistic_lift(kernels[1], 2), 2: kernels[2]}
+        text = decomposition_to_text(HoeffdingDecomposition(6, 2, Fraction(5), kernels, comps))
+        path = tmp_path / "not_degenerate.dec"
+        path.write_text(text)
+        for read in (decomposition_from_text, lambda _: load_decomposition(path)):
+            with pytest.raises(ParseError, match="^line 4: kernel 1 is not completely degenerate$"):
+                read(text)
+
+    def test_component_m_is_kernel_m(self, tmp_path):
+        # Shared, not an equal copy, so that the loaded file holds those entries once.
+        path = tmp_path / "shared.dec"
+        save_decomposition(decompose(random_module_vector(7, 3, 84)), path)
+        dec = load_decomposition(path)
+        assert dec.components[3] is dec.kernels[3]
 
     def test_mixed_unreduced_records_read_as_reduced_values(self):
         f = module_vector_from_text("n = 4\nl = 1\n1 = 2/4\n2 = 1/3\n3 = -6/4\n")

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -188,7 +192,9 @@ class TestKernel:
 class TestLift:
     def test_same_order_is_identity(self):
         phi = random_module_vector(6, 3, 12)
-        assert u_statistic_lift(phi, 3) == phi
+        # The same vector, not an equal copy: a decomposition file's component m
+        # then shares kernel m's entries.
+        assert u_statistic_lift(phi, 3) is phi
 
     def test_containment_indicator(self):
         lifted = u_statistic_lift(indicator(5, (1, 2)), 3)
@@ -364,6 +370,15 @@ class TestDecompose:
         with pytest.raises(DomainError):
             decompose(ModuleVector.zero(5, 3))
 
+    def test_result_is_plain_data(self):
+        # The components are a view over the packed top layer, which holds no closure.
+        dec = decompose(random_module_vector(7, 3, 27))
+        assert pickle.loads(pickle.dumps(dec)) == dec
+        assert copy.deepcopy(dec) == dec
+        assert dataclasses.asdict(dec)["components"] == dict(dec.components)
+        assert repr(dec.components) == repr(dict(dec.components))
+        assert not re.search(r"0x[0-9a-f]+", repr(dec))
+
     def test_m_up_passes_and_m_down_passes(self, monkeypatch):
         passes = Counter()
 
@@ -379,13 +394,12 @@ class TestDecompose:
         for n, m in ((2, 1), (9, 4), (12, 6)):
             h = random_module_vector(n, m, 50 + m)
             passes.clear()
-            want = decompose(h)
+            dec = decompose(h)
             assert passes == {"up": m, "down": m}, (n, m)
-            # The lazy view unpacks each component from the held top layer, with no pass.
-            lazy = hoeffding._kernels_first(h)
-            passes.clear()
-            assert list(lazy.components.values()) == list(want.components.values())
-            assert not passes
+            # The view unpacks each component from the held top layer, with no pass.
+            comps = list(dec.components.values())
+            assert passes == {"up": m, "down": m}, (n, m)
+            assert comps == [project(h, l) for l in range(m + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
