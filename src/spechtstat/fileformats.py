@@ -15,13 +15,15 @@ Decomposition format: a preamble with n, m and the mean, then one
 "[kernel l]" block per order l = 1..m and one "[component l]" block per
 l = 0..m, each block holding a vector in the format above.
 
-Both formats are streamed.  The writers format one block at a time onto an
-open file: the components of `hoeffding.decompose`, unpacked on lookup, are
-built, written and dropped one at a time.  The decomposition writer formats
-the mean once for all of component 0 and keeps the text of kernel m for
-component m, the two blocks that repeat values.  `save_module_vector` and
+Both formats are streamed.  One writer loop formats a vector onto an open
+file with one write per line, for both file kinds: the components of
+`hoeffding.decompose`, unpacked on lookup, are built, written and dropped one
+at a time.  Each entry is reduced by one gcd, and its text is reused while
+the numerator repeats, so the constant component 0 costs one gcd; the
+decomposition writer keeps kernel m's lines and writes them again as
+component m, which equals it.  `save_module_vector` and
 `save_decomposition` write to a temporary file beside the target and move it
-into place with `os.replace` after the last block, so a write that fails
+into place with `os.replace` after the last line, so a write that fails
 leaves no partial file and an existing target keeps its bytes (a device or
 pipe, which a rename would replace, is written in place).
 `module_vector_to_text` and `decomposition_to_text` run the same writers into
@@ -124,42 +126,30 @@ def _parse_pair(text: str, lineno: int | None) -> tuple[int, int]:
     return pair
 
 
-def _vector_lines(
-    f: ModuleVector, key_text: Callable[[int], str], value_text: Callable[[int], str] | None = None
-) -> Iterator[str]:
-    # The vector's lines, without newlines.  key_text gives the subset text at
-    # a canonical position and value_text the text of a numerator (by default
-    # the entry reduced by one gcd); both are called only for nonzero entries.
-    den = f.denominator
-    if value_text is None:
-
-        def value_text(x: int) -> str:
-            g = gcd(x, den)
-            return _pair_text(x // g, den // g)
-
-    yield f"n = {f.n}"
-    yield f"l = {f.l}"
-    for i, x in enumerate(f.numerators):
-        if x:
-            yield f"{key_text(i)} = {value_text(x)}"
-
-
-def _vector_block(
-    f: ModuleVector, key_text: Callable[[int], str], value_text: Callable[[int], str] | None = None
-) -> str:
-    # The vector's lines joined, without the final newline.
-    return "\n".join(_vector_lines(f, key_text, value_text))
-
-
 def _key_texts(n: int, l: int) -> Callable[[int], str]:
     # The text of the l-subset at each canonical position, from one table.
     return list(map(format_subset, enumerate_subsets(n, l))).__getitem__
 
 
-def _write_vector(write: Callable[[str], object], f: ModuleVector) -> None:
-    subsets = enumerate_subsets(f.n, f.l)
-    for line in _vector_lines(f, lambda i: format_subset(subsets[i])):
-        write(f"{line}\n")
+def _write_vector(
+    write: Callable[[str], object], f: ModuleVector, key_text: Callable[[int], str] | None = None
+) -> None:
+    # The vector's lines, one write each.  key_text gives the subset text at a
+    # canonical position (by default formatted from the subset, so only the keys
+    # of nonzero entries are formatted).  An entry is reduced by one gcd, and its
+    # text is reused while the numerator repeats, as it does in a constant vector.
+    if key_text is None:
+        subsets = enumerate_subsets(f.n, f.l)
+        key_text = lambda i: format_subset(subsets[i])
+    den, last, value = f.denominator, 0, ""
+    write(f"n = {f.n}\n")
+    write(f"l = {f.l}\n")
+    for i, x in enumerate(f.numerators):
+        if x:
+            if x != last:
+                g = gcd(x, den)
+                last, value = x, _pair_text(x // g, den // g)
+            write(f"{key_text(i)} = {value}\n")
 
 
 def module_vector_to_text(f: ModuleVector) -> str:
@@ -343,35 +333,31 @@ def load_module_vector(path: str | Path) -> ModuleVector:
 
 
 def _write_decomposition(write: Callable[[str], object], dec: HoeffdingDecomposition) -> None:
-    # The blocks in file order, each written as soon as it is formatted.  Each
-    # component is looked up once, so a decomposition that unpacks its components
-    # on lookup (`hoeffding.decompose`) holds one at a time.  Component 0
-    # repeats the mean C(n, m) times, and component m is kernel m (its lift to
-    # order m is the identity): neither is formatted again, so kernel m's text
-    # is kept until component m is written.
+    # The sections in file order, one write per line.  Each component is looked
+    # up once, so a decomposition that unpacks its components on lookup
+    # (`hoeffding.decompose`) holds one at a time.  Component m is kernel m (its
+    # lift to order m is the identity), so kernel m's lines are kept and written
+    # again; every kernel and component of order m reads one key table.
     n, m = dec.n, dec.m
-    mean_text = format_rational(dec.mean)
     keys_m = _key_texts(n, m)
-    write(f"n = {n}\nm = {m}\nmean = {mean_text}\n")
-    for l in range(1, m + 1):
-        block = _vector_block(dec.kernels[l], keys_m if l == m else _key_texts(n, l))
+    write(f"n = {n}\nm = {m}\nmean = {format_rational(dec.mean)}\n")
+    for l in range(1, m):
         write(f"[kernel {l}]\n")
-        write(block)
-        write("\n")
-    kernel_m = block
+        _write_vector(write, dec.kernels[l], _key_texts(n, l))
+    kernel_m: list[str] = []
+    _write_vector(kernel_m.append, dec.kernels[m], keys_m)
+    write(f"[kernel {m}]\n")
+    for line in kernel_m:
+        write(line)
     for l in range(m + 1):
         comp = dec.components[l]
-        if l == 0 and comp == ModuleVector.constant(n, m, dec.mean):
-            block = _vector_block(comp, keys_m, lambda x: mean_text)
-        elif l == m and comp == dec.kernels[m]:
-            block = kernel_m
-        else:
-            block = _vector_block(comp, keys_m)
-        del comp
         write(f"[component {l}]\n")
-        write(block)
-        write("\n")
-        del block
+        if l == m and comp == dec.kernels[m]:
+            for line in kernel_m:
+                write(line)
+        else:
+            _write_vector(write, comp, keys_m)
+        del comp
 
 
 def decomposition_to_text(dec: HoeffdingDecomposition) -> str:

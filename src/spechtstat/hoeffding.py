@@ -153,7 +153,7 @@ def _lane(layer: _Packed, l: int) -> ModuleVector:
     return ModuleVector.from_numerators(n, a, nums, factorial(a - l) * scales[l])
 
 
-def _chain(h: ModuleVector, orders: range, top: int) -> tuple[dict[int, ModuleVector], _Packed]:
+def _chain(h: ModuleVector, orders: range, top: int) -> Iterator[_Packed]:
     """Check h's shape, run its down passes once, then one packed Horner chain for every order.
 
     Lane l, for l in orders, is the order-l chain, held at bit offset w * (hi - l)
@@ -178,8 +178,10 @@ def _chain(h: ModuleVector, orders: range, top: int) -> tuple[dict[int, ModuleVe
     its offset in [0, 2^w): no lane borrows from or carries into another, and
     the same integers come out as from one chain per order.
 
-    Returns the kernels {a: lane a of layer a} for a in orders with 1 <= a <= top,
-    and layer top, whose lanes `_lane` reads.
+    Yields each packed layer a = 1..top as it is built, whose lanes `_lane`
+    reads: kernel a is lane a of layer a, and layer top holds every lift.  A
+    caller that keeps only the layer it is reading drops each layer once the
+    next one is built.
     """
     n, m = h.n, h.l
     check_shape(n, m)
@@ -204,15 +206,20 @@ def _chain(h: ModuleVector, orders: range, top: int) -> tuple[dict[int, ModuleVe
         return sum(coeffs[l][a] << shift[l] for l in orders if l >= a)
 
     v = [packed(0) * sums[0][0] + sum(half << s for s in shift.values())]
-    kernels = {}
     for a in range(1, top + 1):
         v = _up(v, _face_columns(n, a))
         k = packed(a)
         if k:
             v = [x + k * y for x, y in zip(v, sums[a])]
-        if a in orders:
-            kernels[a] = _lane(_Packed(n, a, v, width, hi, half, scales), a)
-    return kernels, _Packed(n, top, v, width, hi, half, scales)
+        yield _Packed(n, a, v, width, hi, half, scales)
+
+
+def _one_lane(h: ModuleVector, l: int, top: int) -> ModuleVector:
+    # Lane l of layer top of a one-lane chain, the only lane unpacked.  A for loop
+    # takes the last layer, so that each earlier one is dropped as the next arrives.
+    for layer in _chain(h, range(l, l + 1), top):
+        pass
+    return _lane(layer, l)
 
 
 def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
@@ -225,8 +232,7 @@ def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
     """
     if l < 1 or l > h.l:
         raise DomainError(f"kernel order l={l} outside [1..{h.l}]")
-    kernels, _ = _chain(h, range(l, l + 1), l)
-    return kernels[l]
+    return _one_lane(h, l, l)
 
 
 def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
@@ -260,8 +266,7 @@ def project(h: ModuleVector, l: int) -> ModuleVector:
     """
     if l < 0 or l > h.l:
         raise DomainError(f"projection order l={l} outside [0..{h.l}]")
-    _, top = _chain(h, range(l, l + 1), h.l)
-    return _lane(top, l)
+    return _one_lane(h, l, h.l)
 
 
 def is_completely_degenerate(phi: ModuleVector) -> bool:
@@ -303,9 +308,9 @@ class _LiftedComponents(Mapping):
 
     Component 0 is the constant mean, component m is kernel m itself (its lift
     to order m is the identity), and component l in between is lane l of the
-    packed top layer that `_chain` leaves (`_lane`).  Only that layer is held
-    and no component is kept, so a caller that reads one component at a time
-    holds one component at a time, and one that reads a component twice
+    packed top layer that `_chain` yields last (`_lane`).  Only that layer is
+    held and no component is kept, so a caller that reads one component at a
+    time holds one component at a time, and one that reads a component twice
     unpacks it twice.
     """
 
@@ -335,13 +340,14 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     The superset sums S_0..S_m are computed once on integers over the common
     denominator D; then one packed chain (`_chain`) carries all m orders as bit
     lanes of one int per subset, so each layer b is visited by one up pass,
-    C(n, b) * b adds of ints m lanes wide.  Lane a of layer a is kernel a, and
-    the top layer holds every component at once: `components` is a
-    `_LiftedComponents` view over it, which unpacks a component each time it
-    is looked up, one pass over the C(n, m) entries.  So a writer can read,
-    format and drop the components one at a time, and a caller that reads a
-    component twice should keep it in a local.  Each output vector keeps its
-    integer numerators, reduced by one joint gcd.
+    C(n, b) * b adds of ints m lanes wide.  Kernel a is unpacked from lane a
+    of layer a as that layer arrives, and the top layer, the last, holds every
+    component at once: `components` is a `_LiftedComponents` view over it,
+    which unpacks a component each time it is looked up, one pass over the
+    C(n, m) entries.  So a writer can read, format and drop the components one
+    at a time, and a caller that reads a component twice should keep it in a
+    local.  Each output vector keeps its integer numerators, reduced by one
+    joint gcd.
 
     Median wall time in one process on `random_module_vector(n, m, 1)`,
     entries p/q with |p| <= 9 and q <= 9, without and with one read of every
@@ -351,6 +357,8 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     9 and 10; lane width 38, 49, 54 and 60 bits.
     """
     n, m = h.n, h.l
-    kernels, top = _chain(h, range(1, m + 1), m)
+    kernels = {}
+    for top in _chain(h, range(1, m + 1), m):
+        kernels[top.a] = _lane(top, top.a)
     mean = h.mean()
     return HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(mean, kernels, top))

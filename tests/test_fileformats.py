@@ -119,6 +119,16 @@ class TestModuleVectorFormat:
             with pytest.raises(ParseError, match="^line 4: bad rational 'x'"):
                 read()
 
+    def test_sparse_vector_formats_only_its_own_keys(self, monkeypatch, tmp_path):
+        # One nonzero entry among the C(16, 8) = 12870 subsets: one key is formatted.
+        calls = []
+        format_subset = fileformats.format_subset
+        monkeypatch.setattr(fileformats, "format_subset", lambda s: calls.append(s) or format_subset(s))
+        path = tmp_path / "sparse.mv"
+        save_module_vector(indicator(16, range(1, 9)), path)
+        assert calls == [tuple(range(1, 9))]
+        assert path.read_text() == "n = 16\nl = 8\n1,2,3,4,5,6,7,8 = 1\n"
+
     def test_sparse_huge_shape_fails_before_any_key_table(self, monkeypatch):
         # C(40, 20) ~ 1.4e11 subsets: a bad record must fail without listing them.
         def refuse(n, l):
@@ -349,6 +359,31 @@ class TestDecompositionFormat:
         path.write_text(text)
         for read in (decomposition_from_text, lambda _: load_decomposition(path)):
             with pytest.raises(ParseError, match="^line 4: kernel 1 is not completely degenerate$"):
+                read(text)
+
+    def test_each_write_is_one_line(self):
+        chunks = []
+        dec = decompose(random_module_vector(7, 3, 1))
+        fileformats._write_decomposition(chunks.append, dec)
+        assert chunks[0] == f"n = 7\nm = 3\nmean = {format_rational(dec.mean)}\n"
+        assert all(chunk.count("\n") <= 1 for chunk in chunks[1:])
+        assert "".join(chunks) == decomposition_to_text(dec)
+
+    def test_component_zero_that_is_not_constant_is_written_as_it_is(self, tmp_path):
+        # The writer formats component 0's own entries; both readers refuse them.
+        h = random_module_vector(6, 2, 87)
+        dec = decompose(h)
+        comp0 = dec.components[0] + indicator(6, (1, 2))
+        comps = {**dec.components, 0: comp0}
+        text = decomposition_to_text(HoeffdingDecomposition(6, 2, dec.mean, dec.kernels, comps))
+        start = text.index("[component 0]")
+        assert text[start:].split("[component 1]")[0] == "[component 0]\n" + module_vector_to_text(comp0)
+        line = text.count("\n", 0, start) + 1
+        path = tmp_path / "component0.dec"
+        path.write_text(text)
+        message = f"^line {line}: component 0 must be the constant mean vector$"
+        for read in (decomposition_from_text, lambda _: load_decomposition(path)):
+            with pytest.raises(ParseError, match=message):
                 read(text)
 
     def test_component_m_is_kernel_m(self, tmp_path):

@@ -401,6 +401,26 @@ class TestDecompose:
             assert passes == {"up": m, "down": m}, (n, m)
             assert comps == [project(h, l) for l in range(m + 1)]
 
+    def test_each_lane_is_unpacked_once(self, monkeypatch):
+        # The views unpack one lane of the chain's last layer, and decompose one
+        # kernel per layer as it arrives; the components wait for their lookup.
+        lanes = []
+
+        def counted(layer, l):
+            lanes.append(l)
+            return lane(layer, l)
+
+        lane = hoeffding._lane
+        monkeypatch.setattr(hoeffding, "_lane", counted)
+        h = random_module_vector(8, 4, 3)
+        for view, l in ((project, 2), (project, 4), (project, 0), (hoeffding_kernel, 2), (hoeffding_kernel, 4)):
+            lanes.clear()
+            view(h, l)
+            assert lanes == [l], (view.__name__, l)
+        lanes.clear()
+        decompose(h)
+        assert lanes == [1, 2, 3, 4]
+
 
 @pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
 class TestCommonDenominatorEdges:
