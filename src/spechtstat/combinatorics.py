@@ -102,13 +102,20 @@ def check_shape(n: int, m: int) -> None:
         raise DomainError(f"need 1 <= m <= n/2, got n={n}, m={m}")
 
 
+def _ascii_int(text: str) -> int:
+    # int() of ASCII text only: int() alone also reads "1_2" and "١٢" as 12.
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not an ASCII integer")
+    return int(text)
+
+
 def parse_subset(text: str) -> Subset:
     """Parse the comma-joined text form, e.g. '1,4,7'.  '-' denotes the empty set."""
     text = text.strip()
     if text in ("", "-"):
         return ()
     try:
-        elems = tuple(int(part) for part in text.split(","))
+        elems = tuple(map(_ascii_int, text.split(",")))
     except ValueError:
         raise DomainError(f"bad subset text {text!r}") from None
     if any(e < 1 for e in elems) or tuple(sorted(set(elems))) != tuple(sorted(elems)):

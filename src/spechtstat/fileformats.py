@@ -7,8 +7,9 @@ Vector format (one record per nonzero subset, zeros omitted):
     1,2 = 1
     5,6 = -7/3
 
-Rationals are written as "p" or "p/q" (decimal digits, optional sign on p);
-no other form is accepted.  Blank lines and '#' comments are ignored.  The
+Rationals are written as "p" or "p/q", and n, l and the points of a key as
+"p", in ASCII decimal digits with an optional sign on p; no other form is
+accepted.  Blank lines and '#' comments are ignored.  The
 empty subset (l = 0) is written as "-".
 
 Decomposition format: a preamble with n, m and the mean, then one
@@ -16,18 +17,20 @@ Decomposition format: a preamble with n, m and the mean, then one
 l = 0..m, each block holding a vector in the format above.
 
 Both formats are streamed.  One writer loop formats a vector onto an open
-file with one write per line, for both file kinds: the components of
+file with one write per line, for both file kinds.  It zips the nonzero
+numerators with their keys, picked by `itertools.compress` from a stream of
+subsets, so only the keys of nonzero entries are formatted; the one key table
+is layer m's, read by kernel m and every component.  The components of
 `hoeffding.decompose`, unpacked on lookup, are built, written and dropped one
 at a time.  Each entry is reduced by one gcd, and its text is reused while
-the numerator repeats, so the constant component 0 costs one gcd; the
-decomposition writer keeps kernel m's lines and writes them again as
-component m, which equals it.  `save_module_vector` and
-`save_decomposition` write to a temporary file beside the target and move it
-into place with `os.replace` after the last line, so a write that fails
-leaves no partial file and an existing target keeps its bytes (a device or
-pipe, which a rename would replace, is written in place).
-`module_vector_to_text` and `decomposition_to_text` run the same writers into
-a `StringIO`.
+the numerator repeats, so the constant component 0 costs one gcd; kernel m's
+lines are kept and written again as component m, which equals it.
+`save_module_vector` and `save_decomposition` write to a temporary file
+beside the target and move it into place with `os.replace` after the last
+line, so a write that fails leaves no partial file and an existing target
+keeps its bytes (a device or pipe, which a rename would replace, is written
+in place).  `module_vector_to_text` and `decomposition_to_text` run the same
+writers into a `StringIO`.
 
 The readers take the lines of a text, split by `str.splitlines`, or of a file
 opened as UTF-8 text with universal newlines and split by `str.splitlines` as
@@ -35,13 +38,13 @@ well, so that a file and its text read alike; a byte that is not UTF-8 is a
 `ParseError` naming its line.  Each record is parsed as it arrives into its
 position and integer pair p/q, and a section becomes one integer list over one
 lcm of its denominators at the next header.  A value text is parsed once per
-section; across sections only the known repeats are kept: the mean's pair for
-component 0 and kernel m's values for component m.  Once a section's records
-cover an eighth of its subsets, canonical keys ("1,4,7") map through a table
-(text -> position), built once per call for layer m, which the components
-share, and once per section for the other kernels; the other spellings that
-`parse_subset` accepts ("7,1,4", "01,4,7") take the same checks and messages,
-then `subset_position`.  Nothing is cached between calls.
+section, and kernel m's values are kept for component m, which repeats them.
+Once a section's records cover an eighth of its subsets, canonical keys
+("1,4,7") map through a table (text -> position), built once per call for
+layer m, which the components share, and once per section for the other
+kernels; the other spellings that `parse_subset` accepts ("7,1,4", "01,4,7")
+take the same checks and messages, then `subset_position`.  Nothing is cached
+between calls.
 
 A decomposition file is accepted only if every kernel is completely
 degenerate, every component is the U-statistic lift of its kernel and
@@ -60,13 +63,14 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, combinations, compress, count
 from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .algebra import ModuleVector
 from .combinatorics import (
+    _ascii_int,
     _layer_size,
     enumerate_subsets,
     format_subset,
@@ -126,30 +130,31 @@ def _parse_pair(text: str, lineno: int | None) -> tuple[int, int]:
     return pair
 
 
-def _key_texts(n: int, l: int) -> Callable[[int], str]:
-    # The text of the l-subset at each canonical position, from one table.
-    return list(map(format_subset, enumerate_subsets(n, l))).__getitem__
+def _key_texts(n: int, l: int) -> list[str]:
+    # The text of every l-subset, in canonical order.
+    return list(map(format_subset, enumerate_subsets(n, l)))
 
 
 def _write_vector(
-    write: Callable[[str], object], f: ModuleVector, key_text: Callable[[int], str] | None = None
+    write: Callable[[str], object], f: ModuleVector, keys: Iterable[str] | None = None
 ) -> None:
-    # The vector's lines, one write each.  key_text gives the subset text at a
-    # canonical position (by default formatted from the subset, so only the keys
-    # of nonzero entries are formatted).  An entry is reduced by one gcd, and its
-    # text is reused while the numerator repeats, as it does in a constant vector.
-    if key_text is None:
-        subsets = enumerate_subsets(f.n, f.l)
-        key_text = lambda i: format_subset(subsets[i])
+    # The vector's lines, one write each, keyed by keys (every subset text in
+    # canonical order) or by default by the subsets that combinations streams;
+    # only the keys of nonzero entries are formatted.  An entry is reduced by one
+    # gcd, and its text is reused while the numerator repeats.
+    nums = f.numerators
+    if keys is None:
+        picked = map(format_subset, compress(combinations(range(1, f.n + 1), f.l), nums))
+    else:
+        picked = compress(keys, nums)
     den, last, value = f.denominator, 0, ""
     write(f"n = {f.n}\n")
     write(f"l = {f.l}\n")
-    for i, x in enumerate(f.numerators):
-        if x:
-            if x != last:
-                g = gcd(x, den)
-                last, value = x, _pair_text(x // g, den // g)
-            write(f"{key_text(i)} = {value}\n")
+    for x, key in zip(filter(None, nums), picked):
+        if x != last:
+            g = gcd(x, den)
+            last, value = x, _pair_text(x // g, den // g)
+        write(f"{key} = {value}\n")
 
 
 def module_vector_to_text(f: ModuleVector) -> str:
@@ -220,7 +225,7 @@ def _named_int(lineno: int, line: str, name: str) -> int:
     if key != name:
         raise ParseError(f"line {lineno}: expected '{name} = ...', got {line!r}")
     try:
-        return int(value)
+        return _ascii_int(value)
     except ValueError:
         raise ParseError(f"line {lineno}: bad integer {value!r} for '{name}'") from None
 
@@ -273,9 +278,7 @@ class _VectorParser:
                 # n is tested first to keep comb() cheap: C(n, l) >= n for 0 < l < n.
                 size = comb(n, l) if size is None else size
                 if size <= 8 * (len(entries) + 1):
-                    canonical = self.keys[n, l] = dict(
-                        zip(map(format_subset, enumerate_subsets(n, l)), count())
-                    )
+                    canonical = self.keys[n, l] = dict(zip(_key_texts(n, l), count()))
             position = canonical.get(key)
             if position is None:
                 try:
@@ -337,13 +340,13 @@ def _write_decomposition(write: Callable[[str], object], dec: HoeffdingDecomposi
     # up once, so a decomposition that unpacks its components on lookup
     # (`hoeffding.decompose`) holds one at a time.  Component m is kernel m (its
     # lift to order m is the identity), so kernel m's lines are kept and written
-    # again; every kernel and component of order m reads one key table.
+    # again; layer m's key table, the only one, serves kernel m and each component.
     n, m = dec.n, dec.m
     keys_m = _key_texts(n, m)
     write(f"n = {n}\nm = {m}\nmean = {format_rational(dec.mean)}\n")
     for l in range(1, m):
         write(f"[kernel {l}]\n")
-        _write_vector(write, dec.kernels[l], _key_texts(n, l))
+        _write_vector(write, dec.kernels[l])
     kernel_m: list[str] = []
     _write_vector(kernel_m.append, dec.kernels[m], keys_m)
     write(f"[kernel {m}]\n")
@@ -374,7 +377,7 @@ def _section_header(lineno: int, line: str) -> tuple[str, int, int]:
     if len(fields) != 2 or fields[0] not in ("kernel", "component"):
         raise ParseError(f"line {lineno}: bad section header {line!r}")
     try:
-        return fields[0], int(fields[1]), lineno
+        return fields[0], _ascii_int(fields[1]), lineno
     except ValueError:
         raise ParseError(f"line {lineno}: bad section index in {line!r}") from None
 
@@ -403,7 +406,11 @@ class _DecompositionReader:
             kind, index, lineno = _section_header(*header)
             # Only the key table of layer m is read again (by the components).
             keys = self.keys if kind == "component" or index == self.m else {}
-            parser = _VectorParser(self._values(kind, index), keys)
+            # A value text is parsed once per section; component m takes over
+            # kernel m's memo, as it repeats kernel m's values.
+            parser = _VectorParser({}, keys)
+            if kind == "component" and index == self.m:
+                parser.values, self.kernel_m_values = self.kernel_m_values, {}
             parser.last = lineno  # so that an empty section names its header line
             header = parser.read(lines, sections=True)
             self._section(kind, index, lineno, parser)
@@ -434,25 +441,12 @@ class _DecompositionReader:
         key, value = _split_assignment(lineno, line)
         if key != "mean":
             raise ParseError(f"line {lineno}: expected 'mean = ...', got {line!r}")
-        pair = _parse_pair(value, lineno)
-        self.n, self.m, self.mean = n, m, Fraction(*pair)
-        self.mean_value = value, pair
+        self.n, self.m, self.mean = n, m, Fraction(*_parse_pair(value, lineno))
         following = next(lines, None)
         if following is not None and not following[1].startswith("["):
             lineno, line = following
             raise ParseError(f"line {lineno}: unexpected content before first section: {line!r}")
         return following
-
-    def _values(self, kind: str, index: int) -> dict[str, tuple[int, int]]:
-        # A section's value memo.  A value text is parsed once per section; the
-        # repeats known in advance are shared across sections: the mean with
-        # component 0, and kernel m's values with component m.
-        if kind == "component" and index == 0:
-            return dict([self.mean_value])
-        if kind == "component" and index == self.m:
-            values, self.kernel_m_values = self.kernel_m_values, {}
-            return values
-        return {}
 
     def _section(self, kind: str, index: int, lineno: int, parser: _VectorParser) -> None:
         n, m = self.n, self.m

@@ -4,10 +4,10 @@ A statistic is a `ModuleVector` h on the m-subsets of [1..n], read as
 h(X(1), ..., X(m)) for the first m extractions without replacement.  This
 module holds the kernel route and nothing else: the down and up passes, the
 packed Horner chain built on them, the views `hoeffding_kernel`,
-`u_statistic_lift`, `project` and `is_completely_degenerate`, and `decompose`.
-`decompose` runs the chain once and returns a view that unpacks each
-component when it is looked up.  The module computes, in exact rational
-arithmetic:
+`u_statistic_lift`, `project` (the lift of its kernel) and
+`is_completely_degenerate`, and `decompose`.  `decompose` runs the chain once
+and returns a view that unpacks each component when it is looked up.  The
+module computes, in exact rational arithmetic:
 
   * the order-l completely degenerate kernels and their U-statistic lifts,
   * the orthogonal projections onto each symmetric Hoeffding space.
@@ -153,7 +153,7 @@ def _lane(layer: _Packed, l: int) -> ModuleVector:
     return ModuleVector.from_numerators(n, a, nums, factorial(a - l) * scales[l])
 
 
-def _chain(h: ModuleVector, orders: range, top: int) -> Iterator[_Packed]:
+def _chain(h: ModuleVector, orders: range) -> Iterator[_Packed]:
     """Check h's shape, run its down passes once, then one packed Horner chain for every order.
 
     Lane l, for l in orders, is the order-l chain, held at bit offset w * (hi - l)
@@ -162,7 +162,7 @@ def _chain(h: ModuleVector, orders: range, top: int) -> Iterator[_Packed]:
     K_a = sum over l >= a of k(l, a) * 2^(w (hi - l)), one up pass per layer
     advances every lane at once:
 
-        V_0 = K_0 * S_0 + O_0,   V_a = up(V_{a-1}) + K_a * S_a   (a = 1..top).
+        V_0 = K_0 * S_0 + O_0,   V_a = up(V_{a-1}) + K_a * S_a   (a = 1..hi).
 
     At layer a, lane a is M_a * D times kernel a; at layer a >= l, lane l is
     (a - l)! * M_l * D times the lift of kernel l to a draws.  The offset O_0
@@ -173,15 +173,15 @@ def _chain(h: ModuleVector, orders: range, top: int) -> Iterator[_Packed]:
     The lane width w rests on an exact bound, known before the chain runs:
     B_0 = |k(l, 0)| * max|S_0| and B_a = a * B_{a-1} + |k(l, a)| * max|S_a|
     (the last term for a <= l only) bound lane l at layer a.  B_a / a! never
-    decreases, so with half_0 = ceil(max_l B_top / top!) every lane of layer a
-    lies in [-half_a, half_a], and w = bits(half_top) + 1 keeps each lane plus
+    decreases, so with half_0 = ceil(max_l B_hi / hi!) every lane of layer a
+    lies in [-half_a, half_a], and w = bits(half_hi) + 1 keeps each lane plus
     its offset in [0, 2^w): no lane borrows from or carries into another, and
     the same integers come out as from one chain per order.
 
-    Yields each packed layer a = 1..top as it is built, whose lanes `_lane`
-    reads: kernel a is lane a of layer a, and layer top holds every lift.  A
-    caller that keeps only the layer it is reading drops each layer once the
-    next one is built.
+    Yields each packed layer a = 1..hi as it is built, whose lanes `_lane`
+    reads: kernel a is lane a of layer a, and layer hi, the last, holds the
+    lift of every kernel to order hi.  A caller that keeps only the layer it
+    is reading drops each layer once the next one is built.
     """
     n, m = h.n, h.l
     check_shape(n, m)
@@ -191,35 +191,27 @@ def _chain(h: ModuleVector, orders: range, top: int) -> Iterator[_Packed]:
     for l in orders:
         scale, coeffs[l] = _chain_coefficients(n, m, l)
         scales[l] = scale * den
-    peaks = [max(map(abs, s)) for s in sums[: top + 1]]
+    peaks = [max(map(abs, s)) for s in sums[: hi + 1]]
     bound = 0
     for k in coeffs.values():
         b = 0
         for a, peak in enumerate(peaks):
             b = a * b + (abs(k[a]) * peak if a < len(k) else 0)
         bound = max(bound, b)
-    half = -(-bound // factorial(top))  # half_0, at least bound / top!
-    width = (factorial(top) * half).bit_length() + 1
+    half = -(-bound // factorial(hi))  # half_0, at least bound / hi!
+    width = (factorial(hi) * half).bit_length() + 1
     shift = {l: width * (hi - l) for l in orders}
 
     def packed(a: int) -> int:
         return sum(coeffs[l][a] << shift[l] for l in orders if l >= a)
 
     v = [packed(0) * sums[0][0] + sum(half << s for s in shift.values())]
-    for a in range(1, top + 1):
+    for a in range(1, hi + 1):
         v = _up(v, _face_columns(n, a))
         k = packed(a)
         if k:
             v = [x + k * y for x, y in zip(v, sums[a])]
         yield _Packed(n, a, v, width, hi, half, scales)
-
-
-def _one_lane(h: ModuleVector, l: int, top: int) -> ModuleVector:
-    # Lane l of layer top of a one-lane chain, the only lane unpacked.  A for loop
-    # takes the last layer, so that each earlier one is dropped as the next arrives.
-    for layer in _chain(h, range(l, l + 1), top):
-        pass
-    return _lane(layer, l)
 
 
 def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
@@ -228,11 +220,13 @@ def hoeffding_kernel(h: ModuleVector, l: int) -> ModuleVector:
     At each l-subset: ratio(m, l) times the weighted sum, over nonempty
     sub-assignments of the l points, of centered conditional expectations of h;
     computed by the down passes and one Horner chain of l up passes (`_chain`
-    with one lane).
+    with one lane), whose last layer is the only one kept and unpacked.
     """
     if l < 1 or l > h.l:
         raise DomainError(f"kernel order l={l} outside [1..{h.l}]")
-    return _one_lane(h, l, l)
+    for layer in _chain(h, range(l, l + 1)):
+        pass
+    return _lane(layer, l)
 
 
 def u_statistic_lift(phi: ModuleVector, m: int) -> ModuleVector:
@@ -261,12 +255,15 @@ def project(h: ModuleVector, l: int) -> ModuleVector:
     """Orthogonal projection of h onto the order-l symmetric Hoeffding space.
 
     l = 0 gives the constant mean vector; l >= 1 is the U-statistic lift of the
-    order-l kernel.  Summing over l = 0..m reconstructs h exactly.  One lane of
-    `_chain` through all m layers: l up passes build the kernel, m - l lift it.
+    order-l kernel: `hoeffding_kernel`'s l up passes, then the m - l of
+    `u_statistic_lift`.  Summing over l = 0..m reconstructs h exactly.
     """
     if l < 0 or l > h.l:
         raise DomainError(f"projection order l={l} outside [0..{h.l}]")
-    return _one_lane(h, l, h.l)
+    if l:
+        return u_statistic_lift(hoeffding_kernel(h, l), h.l)
+    check_shape(h.n, h.l)
+    return ModuleVector.constant(h.n, h.l, h.mean())
 
 
 def is_completely_degenerate(phi: ModuleVector) -> bool:
@@ -358,7 +355,7 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     """
     n, m = h.n, h.l
     kernels = {}
-    for top in _chain(h, range(1, m + 1), m):
+    for top in _chain(h, range(1, m + 1)):
         kernels[top.a] = _lane(top, top.a)
     mean = h.mean()
     return HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(mean, kernels, top))

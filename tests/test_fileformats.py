@@ -96,6 +96,12 @@ class TestModuleVectorFormat:
             (DENSE + "1,2 = 1\n3,4,5 = 1\n", "line 6: '3,4,5' is not an 2-subset"),
             (DENSE + "0,1 = 1\n", "line 5: bad subset text '0,1'"),
             ("n = four\nl = 2\n", "bad integer"),
+            # Integers are ASCII digits, as values are, though int() reads "1_2" and "١٢" as 12.
+            ("n = 1_2\nl = 2\n1,2 = 1\n", "line 1: bad integer '1_2' for 'n'"),
+            ("n = \u0661\u0662\nl = 2\n1,2 = 1\n", "line 1: bad integer '\u0661\u0662' for 'n'"),
+            ("n = 12\nl = 1_0\n", "line 2: bad integer '1_0' for 'l'"),
+            ("n = 12\nl = 1\n1_0 = 1\n", "line 3: bad subset text '1_0'"),
+            ("n = 4\nl = 2\n\u0661,\u0662 = 3\n", "line 3: bad subset text '\u0661,\u0662'"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, fragment):
@@ -128,6 +134,24 @@ class TestModuleVectorFormat:
         save_module_vector(indicator(16, range(1, 9)), path)
         assert calls == [tuple(range(1, 9))]
         assert path.read_text() == "n = 16\nl = 8\n1,2,3,4,5,6,7,8 = 1\n"
+
+    def test_sparse_save_builds_no_subset_table(self, monkeypatch, tmp_path):
+        # One record among the C(20, 10) = 184756 subsets: its key comes from a
+        # stream of subsets, with no table of the layer.
+        def refuse(n, l):
+            raise AssertionError(f"enumerated the {l}-subsets of [1..{n}]")
+
+        f = indicator(20, range(1, 11))
+        path = tmp_path / "sparse.mv"
+        monkeypatch.setattr(fileformats, "enumerate_subsets", refuse)
+        tracemalloc.start()
+        try:
+            save_module_vector(f, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert path.read_text() == "n = 20\nl = 10\n1,2,3,4,5,6,7,8,9,10 = 1\n"
 
     def test_sparse_huge_shape_fails_before_any_key_table(self, monkeypatch):
         # C(40, 20) ~ 1.4e11 subsets: a bad record must fail without listing them.
@@ -361,6 +385,19 @@ class TestDecompositionFormat:
             with pytest.raises(ParseError, match="^line 4: kernel 1 is not completely degenerate$"):
                 read(text)
 
+    def test_one_key_table_layer_m(self, monkeypatch, tmp_path):
+        # Kernel m and every component read layer m's table; the kernels below
+        # order m format their keys from a stream of subsets.
+        calls = []
+        key_texts = fileformats._key_texts
+        monkeypatch.setattr(fileformats, "_key_texts", lambda n, l: calls.append((n, l)) or key_texts(n, l))
+        dec = decompose(random_module_vector(8, 4, 11))
+        path = tmp_path / "d.dec"
+        save_decomposition(dec, path)
+        assert calls == [(8, 4)]
+        monkeypatch.undo()
+        assert load_decomposition(path) == dec
+
     def test_each_write_is_one_line(self):
         chunks = []
         dec = decompose(random_module_vector(7, 3, 1))
@@ -535,6 +572,19 @@ class TestErrorOrder:
                 _order_text(K1, K2, _bumped(C0), C1, _bumped(C2)),
                 "line 31: component 0 must be the constant mean vector",
             ),
+            # Integers are ASCII digits: int() alone reads "\u0662" as 2 and "0_1" as 1.
+            (
+                _order_text(K1, BAD_RECORD_K2, C0, C1, C2).replace("m = 2", "m = \u0662"),
+                "line 2: bad integer '\u0662' for 'm'",
+            ),
+            (
+                _order_text(K1.replace("[kernel 1]", "[kernel \u0661]"), BAD_RECORD_K2, C0, C1, C2),
+                "line 4: bad section index in '[kernel \u0661]'",
+            ),
+            (
+                _order_text(K1, K2, C0, C1.replace("[component 1]", "[component 0_1]"), _bumped(C2)),
+                "line 49: bad section index in '[component 0_1]'",
+            ),
         ],
         ids=[
             "bad-record-then-bad-header",
@@ -544,6 +594,9 @@ class TestErrorOrder:
             "missing-kernel-and-wrong-component",
             "wrong-component-then-bad-record",
             "wrong-component-2-and-component-0",
+            "non-ascii-m-and-bad-record",
+            "non-ascii-index-then-bad-record",
+            "underscore-index-then-wrong-component",
         ],
     )
     def test_first_fault_met(self, text, message, tmp_path):

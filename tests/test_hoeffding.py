@@ -340,13 +340,15 @@ class TestFaceCache:
 
 class TestDecompose:
     def test_matches_separate_projections(self):
-        h = random_module_vector(7, 3, 25)
-        dec = decompose(h)
-        assert dec.mean == h.mean()
-        for l in range(4):
-            assert dec.components[l] == project(h, l)
-        for l in range(1, 4):
-            assert dec.kernels[l] == hoeffding_kernel(h, l)
+        for n, m, seed in ((7, 3, 25), (6, 3, 26), (8, 4, 27), (12, 6, 28)):
+            h = random_module_vector(n, m, seed)
+            dec = decompose(h)
+            assert dec.mean == h.mean()
+            for l in range(m + 1):
+                assert dec.components[l] == project(h, l)
+            for l in range(1, m + 1):
+                assert dec.kernels[l] == hoeffding_kernel(h, l)
+                assert project(h, l) == u_statistic_lift(hoeffding_kernel(h, l), m)
 
     def test_reconstruction_method(self):
         h = random_module_vector(6, 3, 26)
@@ -402,8 +404,9 @@ class TestDecompose:
             assert comps == [project(h, l) for l in range(m + 1)]
 
     def test_each_lane_is_unpacked_once(self, monkeypatch):
-        # The views unpack one lane of the chain's last layer, and decompose one
-        # kernel per layer as it arrives; the components wait for their lookup.
+        # The views unpack one lane of the chain's last layer (project(h, 0), the
+        # constant mean, none), and decompose one kernel per layer as it arrives;
+        # the components wait for their lookup.
         lanes = []
 
         def counted(layer, l):
@@ -416,7 +419,7 @@ class TestDecompose:
         for view, l in ((project, 2), (project, 4), (project, 0), (hoeffding_kernel, 2), (hoeffding_kernel, 4)):
             lanes.clear()
             view(h, l)
-            assert lanes == [l], (view.__name__, l)
+            assert lanes == ([l] if l else []), (view.__name__, l)
         lanes.clear()
         decompose(h)
         assert lanes == [1, 2, 3, 4]
