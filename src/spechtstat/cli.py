@@ -15,15 +15,23 @@ import argparse
 import sys
 from pathlib import Path
 
-from .combinatorics import DEFAULT_ORACLE_CEILING
+from .combinatorics import DEFAULT_ORACLE_CEILING, _ascii_int
 from .errors import DomainError, ParseError, ResourceLimitError
+
+
+def _integer(text: str) -> int:
+    # The file readers' rule: ASCII digits only, so "1_0" and "٦" are usage errors.
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ceiling = argparse.ArgumentParser(add_help=False)
     ceiling.add_argument(
         "--ceiling",
-        type=int,
+        type=_integer,
         default=DEFAULT_ORACLE_CEILING,
         help=f"brute-force bound for n!-cost routes (default {DEFAULT_ORACLE_CEILING})",
     )
@@ -38,38 +46,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dims", help="print the dimension table for degree n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
 
     p = sub.add_parser("chartable", help="export a two-row character table as CSV")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-l", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--max-l", type=_integer, required=True)
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("decompose", help="decompose a vector file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("specht", help="write standard polytabloid basis vectors")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--l", type=_integer, required=True)
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
     p = sub.add_parser("verify", parents=[ceiling], help="run verification suites")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--trials", type=_integer, default=20)
     # The names of verify.SUITES, spelled out so that parsing imports no `verify`;
     # `run_suites` refuses any other name.
     p.add_argument("--suite", default="all", metavar="{all,decomp,equiv,shift,specht}")
     p.add_argument("--report", type=Path, default=None, help="write a JSON report here")
 
     p = sub.add_parser("bench", parents=[ceiling], help="time the kernel route vs the n! oracle")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, default=0)
 
     return parser
 

@@ -67,8 +67,9 @@ def _mask_index(n: int, l: int) -> dict[int, int]:
     # Position of each l-subset in the canonical order, keyed by its bitmask, the
     # sum of its point bits 1 << (a-1): the only cached position table, built
     # from the bits with no subset tuple.  Cached (maxsize 32) for the callers
-    # that read it again: `subset_images`, once per permutation, and the shift
-    # walk.  `hoeffding._face_columns` reads each table once, via `__wrapped__`.
+    # that read it again: `subset_images`, once per permutation, and the walk
+    # over S_n in `references`.  `hoeffding._face_columns` reads each table
+    # once, via `__wrapped__`.
     bits = [1 << a for a in range(n)]
     return dict(zip(map(sum, itertools.combinations(bits, l)), itertools.count()))
 
@@ -173,16 +174,16 @@ class Permutation:
 
     def cycle_type(self) -> CycleType:
         """Multiset of cycle lengths, sorted descending."""
-        seen = [False] * self.n
+        images = self.images
+        unseen = set(images)
         lengths = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            length = 0
-            a = start
-            while not seen[a - 1]:
-                seen[a - 1] = True
-                a = self.images[a - 1]
+        while unseen:
+            start = unseen.pop()
+            a = images[start - 1]
+            length = 1
+            while a != start:
+                unseen.remove(a)
+                a = images[a - 1]
                 length += 1
             lengths.append(length)
         lengths.sort(reverse=True)

@@ -15,7 +15,8 @@ module computes, in exact rational arithmetic:
 The references it is checked against live apart from it, in `references`
 (the per-subset conditional expectation, the n!-permutation
 character-projection oracle, the double sum with its `CoefficientTable`, the
-fixed-point route and the shift walk) and in the test suite's own oracles.
+fixed-point route and the shift suite's pair counts) and in the test suite's
+own oracles.
 
 The kernel route runs on Python ints over one common denominator D, the lcm
 of the input's denominators, with two inclusion-matrix operators between

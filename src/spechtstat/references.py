@@ -9,12 +9,16 @@ route that shares no code with `hoeffding`:
     projection expression over those conditional expectations;
   * the n!-permutation `character_projection_oracle` (Diaconis 1988, ch. 8),
     with its caches and `clear_oracle_cache`;
-  * the order-1 fixed-point route and the shift suite's n! walk.
+  * the order-1 fixed-point route and the shift suite's pair counts.
 
-S_n is walked at most twice per (n, m): once by `_orbit_counts`, whose
-permutation counts by cycle type serve both the oracle and the fixed-point
-route, and once by `_shift_pair_counts`, which looks up only the m + 2 subset
-images it reads.  The oracle refuses n above its `ceiling`, by default
+S_n is walked once per (n, m), by `_group_walk`.  For each permutation x it
+records x's cycle type, the position of x({1..m}) and the shift suite's pairs
+(x({1..m}), x(k_r)): m + 1 subset lookups, not C(n, m).  The oracle and the
+fixed-point route need, for every J and K, how many x of each cycle type send
+J onto K.  Conjugation gives these from the walk: if sigma_J sends J onto
+{1..m}, then sigma_J x sigma_J^-1 has x's cycle type and sends {1..m} to
+sigma_J K, so that count is the walk's count at x({1..m}) = sigma_J K.  The
+oracle refuses n above its `ceiling`, by default
 `combinatorics.DEFAULT_ORACLE_CEILING`.
 
 This module imports only `algebra`, `characters`, `combinatorics` and
@@ -26,15 +30,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 from operator import mul
+from typing import Callable, NamedTuple
 
 from .algebra import ModuleVector
 from .characters import dimension, two_row_character
 from .combinatorics import (
     DEFAULT_ORACLE_CEILING,
     CycleType,
+    Permutation,
     Subset,
     _mask_index,
     check_shape,
@@ -151,41 +157,96 @@ def _double_sum_values(f: ModuleVector, l: int) -> ModuleVector:
     return ModuleVector(n, m, out)
 
 
-@lru_cache(maxsize=1)
-def _orbit_counts(n: int, m: int) -> dict[CycleType, Counter]:
-    """For each cycle type ct, a Counter of the position pairs (K, J) with the
-    number of permutations of type ct that map the m-subset J onto K.
+class _Walk(NamedTuple):
+    # What the one walk over S_n records for a shape (n, m); see `_group_walk`.
+    rows: dict[CycleType, list[int]]
+    pairs: list[Counter]
 
-    One literal walk over all n! permutations per (n, m), shared by every order
-    l of the character oracle and by the fixed-point route.  Held in an LRU
-    cache of fixed maxsize 1: the counts of one shape, the last one asked for.
+
+@lru_cache(maxsize=1)
+def _group_walk(n: int, m: int) -> _Walk:
+    """The one literal walk over all n! permutations per (n, m), base = {1..m}.
+
+    For each permutation x it records x's cycle type, the position of x(base),
+    and the shift suite's pairs (x(base), x(k_r)), k_r = {1..r, m+1..2m-r}:
+
+      * rows[ct][p] is the number of x of type ct with x(base) at position p;
+      * pairs[r] is a Counter of the position pairs (B, K) with the number of x
+        such that x(base) = B and x(k_r) = K.  k_m is base itself, so pairs[m]
+        is read from the rows.
+
+    Each image is found from the point bits 1 << (x(a)-1) of the first 2m
+    points: the mask of x(k_0) is the sum of the bits of m+1..2m, and each step
+    r -> r+1 trades the bit of 2m-r for the bit of r+1.  One int-keyed lookup
+    per image, m + 1 per permutation.  Every other count the references read
+    follows from the rows by conjugation (`_transported_weights`).  Held in an
+    LRU cache of fixed maxsize 1: the walk of one shape, the last one asked for.
     """
-    counts: defaultdict[CycleType, Counter] = defaultdict(Counter)
-    positions = range(comb(n, m))
+    position = _mask_index(n, m).__getitem__
+    heads: Counter = Counter()
+    pairs = [Counter() for _ in range(m + 1)]
     for x in enumerate_permutations(n, ceiling=None):
-        counts[x.cycle_type()].update(zip(subset_images(x, m), positions))
-    return dict(counts)
+        bits = [1 << (b - 1) for b in x.images[: 2 * m]]
+        bpos = position(sum(bits[:m]))
+        heads[x.cycle_type(), bpos] += 1
+        mask = sum(bits[m:])
+        for r in range(m):
+            pairs[r][bpos, position(mask)] += 1
+            mask += bits[r] - bits[2 * m - 1 - r]
+    rows: defaultdict[CycleType, list[int]] = defaultdict(lambda: [0] * comb(n, m))
+    for (ct, b), c in heads.items():
+        rows[ct][b] = c
+        pairs[m][b, b] += c
+    return _Walk(dict(rows), pairs)
+
+
+def _carrier(n: int, J: Subset) -> Permutation:
+    # A permutation sending the subset J onto {1..len(J)}: J's points to 1..len(J)
+    # and the other points to the rest, each in increasing order.
+    taken = set(J)
+    images = [0] * n
+    order = itertools.chain(J, (a for a in range(1, n + 1) if a not in taken))
+    for b, a in enumerate(order, 1):
+        images[a - 1] = b
+    return Permutation._trusted(tuple(images))
+
+
+def _transported_weights(
+    n: int, m: int, weight: Callable[[CycleType], int]
+) -> list[list[int]]:
+    """The columns of the matrix W[K][J] = sum of weight(x) over all x with x(J) = K.
+
+    Conjugation moves every count onto base = {1..m}: if sigma_J sends J onto
+    base, then x -> sigma_J x sigma_J^-1 keeps the cycle type and sends x(J) = K
+    to a permutation sending base to sigma_J K.  So the number of x of type ct
+    with x(J) = K is `_group_walk`'s rows[ct] at the position of sigma_J K, and
+    one `subset_images(sigma_J, m)` per J carries the weighted row to column J.
+    The sums are still over all n! permutations, taken by the walk.
+    """
+    row = [0] * comb(n, m)
+    for ct, counts in _group_walk(n, m).rows.items():
+        w = weight(ct)
+        if w:
+            row = [a + w * c for a, c in zip(row, counts)]
+    return [
+        list(map(row.__getitem__, subset_images(_carrier(n, J), m)))
+        for J in enumerate_subsets(n, m)
+    ]
 
 
 @lru_cache(maxsize=8)
 def _projection_weights(n: int, m: int, l: int) -> tuple[tuple[int, ...], ...]:
     """Integer matrix W with W[K][J] = sum of chi_{(n-l,l)}(x) over all x mapping J to K.
 
-    Assembled as the sum over cycle types ct of chi_{(n-l,l)}(ct) times the
-    permutation counts of `_orbit_counts`, so that the n! walk happens once per
-    (n, m), grouped by cycle type, whatever the number of orders l asked for.
-    The caller applies W to a vector and scales by dimension/n!.  Held in an
-    LRU cache of fixed maxsize 8, which covers every order l = 0..m of one
-    shape with m <= 7, i.e. of every shape whose n! walk is feasible.
+    The transported counts of `_transported_weights`, weighted by
+    chi_{(n-l,l)} of each cycle type, so that S_n is walked once per (n, m)
+    whatever the number of orders l asked for.  The caller applies W to a
+    vector and scales by dimension/n!.  Held in an LRU cache of fixed maxsize
+    8, which covers every order l = 0..m of one shape with m <= 7, i.e. of
+    every shape whose n! walk is feasible.
     """
-    size = comb(n, m)
-    weights = [[0] * size for _ in range(size)]
-    for ct, cnt in _orbit_counts(n, m).items():
-        chi = two_row_character(n, l, ct)
-        if chi:
-            for (k, j), c in cnt.items():
-                weights[k][j] += chi * c
-    return tuple(tuple(row) for row in weights)
+    columns = _transported_weights(n, m, partial(two_row_character, n, l))
+    return tuple(zip(*columns))
 
 
 def character_projection_oracle(
@@ -197,8 +258,9 @@ def character_projection_oracle(
 
     at every m-subset K.  Factorial cost by design: this is the slow oracle the
     kernel route is checked against.  The n! walk is done once per (n, m) and
-    grouped by cycle type (see `_projection_weights`); the weights are applied to
-    f's integer numerators over its denominator.  Refuses n above `ceiling`.
+    grouped by cycle type (see `_group_walk` and `_projection_weights`); the
+    weights are applied to f's integer numerators over its denominator.
+    Refuses n above `ceiling`.
     """
     n, m = f.n, f.l
     if l < 0 or l > m:
@@ -219,47 +281,19 @@ def clear_oracle_cache() -> None:
 
     Used when timing the oracle honestly.
     """
-    _orbit_counts.cache_clear()
+    _group_walk.cache_clear()
     _projection_weights.cache_clear()
 
 
 def _fixed_point_route(f: ModuleVector) -> ModuleVector:
     # Order-1 projection via the explicit fixed-point count weighting
     # (fix(x) - 1), summed over all n! permutations on f's integer numerators.
-    # The sum is regrouped by cycle type: every permutation of type ct has
-    # ct.count(1) fixed points, and `_orbit_counts` holds how many of them map
-    # each J onto each K.
+    # Every permutation of type ct has ct.count(1) fixed points, so the sum at
+    # J reads column J of the walk's counts transported by conjugation.
     n, m = f.n, f.l
     nums = f.numerators
-    acc = [0] * len(nums)
-    for ct, cnt in _orbit_counts(n, m).items():
-        w = ct.count(1) - 1
-        if w:
-            for (k, j), c in cnt.items():
-                acc[j] += w * c * nums[k]
+    columns = _transported_weights(n, m, lambda ct: ct.count(1) - 1)
+    acc = [sum(map(mul, column, nums)) for column in columns]
     return ModuleVector.from_numerators(
         n, m, [(n - 1) * a for a in acc], factorial(n) * f.denominator
     )
-
-
-def _shift_pair_counts(n: int, m: int) -> list[Counter]:
-    """For each overlap r = 0..m, a Counter of the position pairs (B, K) with the
-    number of permutations x such that x(base) = B and x(k_r) = K, where
-    base = {1..m} and k_r = {1..r, m+1..2m-r}.  k_m is base itself.
-
-    One literal walk over all n! permutations.  Each image is found from the
-    point bits 1 << (x(a)-1) of the first 2m points: the mask of x(k_0) is the
-    sum of the bits of m+1..2m, and each step r -> r+1 trades the bit of 2m-r
-    for the bit of r+1.  One int-keyed lookup per image, m + 2 per permutation.
-    """
-    position = _mask_index(n, m).__getitem__
-    pairs = [Counter() for _ in range(m + 1)]
-    for x in enumerate_permutations(n, ceiling=None):
-        bits = [1 << (b - 1) for b in x.images[: 2 * m]]
-        bpos = position(sum(bits[:m]))
-        mask = sum(bits[m:])
-        for r, counter in enumerate(pairs):
-            counter[bpos, position(mask)] += 1
-            if r < m:
-                mask += bits[r] - bits[2 * m - 1 - r]
-    return pairs

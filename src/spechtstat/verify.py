@@ -8,9 +8,12 @@ deterministic, so identical configurations produce byte-identical output.
 The references the suites compare the kernel route with live apart from it,
 in `references`: the n!-permutation `character_projection_oracle`, the double
 sum built on `CoefficientTable`, the order-1 fixed-point route and the shift
-suite's n! walk.  S_n is walked at most twice per (n, m).  The suites that
-walk S_n refuse n above `RunConfig.brute_force_ceiling`, the oracle above its
-`ceiling`; both default to `combinatorics.DEFAULT_ORACLE_CEILING`.
+suite's pair counts.  S_n is walked once per (n, m), by `references._group_walk`:
+it records each permutation's cycle type, its image of {1..m} and the shift
+pairs, and conjugation moves those counts onto every other m-subset.  The
+suites that walk S_n refuse n above `RunConfig.brute_force_ceiling`, the
+oracle above its `ceiling`; both default to
+`combinatorics.DEFAULT_ORACLE_CEILING`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .hoeffding import decompose, is_completely_degenerate, u_statistic_lift
 from .references import (
     _double_sum_values,
     _fixed_point_route,
-    _shift_pair_counts,
+    _group_walk,
     character_projection_oracle,
     clear_oracle_cache,
 )
@@ -331,7 +334,7 @@ def verify_shift_orthogonality(config: RunConfig) -> VerificationReport:
     gen = Lcg64(config.seed)
 
     # Counted once, shared by every trial; pairs[m] weights the squared norms.
-    pairs = _shift_pair_counts(n, m)
+    pairs = _group_walk(n, m).pairs
 
     def pair_sum(r: int, fv: tuple[int, ...], hv: tuple[int, ...]) -> int:
         return sum(c * fv[b] * hv[k] for (b, k), c in pairs[r].items())

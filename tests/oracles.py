@@ -7,13 +7,14 @@ recursion, a reversed-pivot elimination for ranks, subset images one point
 at a time, standard tableaux counted by enumeration, and lifts, degeneracy
 tests and the two inclusion-matrix passes themselves, found by set containment
 over `itertools.combinations` instead of the library's face tables, and the
-n!-walks of `references` done one permutation at a time over full subset-image
-tables instead of regrouped by cycle type or read at a few positions.
+n!-walk of `references` done one permutation at a time over full subset-image
+tables instead of read at a few positions and moved by conjugation.
 
 Permutations are composed, inverted, counted and built as plain image tuples,
 images[a-1] = x(a), by `compose`, `invert`, `fixed_points` and
 `transposition`, so the library's `Permutation` needs none of these
-operations.  `polytabloid_by_column_product` builds a polytabloid as the
+operations; `cycle_lengths` recounts its cycle types on the same tuples.
+`polytabloid_by_column_product` builds a polytabloid as the
 literal product of (1 - (i j)) over its column pairs, applied to a dense
 indicator, with these helpers and no code of `specht`.
 """
@@ -57,6 +58,20 @@ def invert(x: Images) -> Images:
 def fixed_points(x: Images) -> int:
     """The number of points a with x(a) = a."""
     return sum(1 for a, b in enumerate(x, start=1) if a == b)
+
+
+def cycle_lengths(x: Images) -> tuple[int, ...]:
+    """The lengths of x's cycles, each followed from its least point, largest first."""
+    lengths, seen = [], set()
+    for start in range(1, len(x) + 1):
+        length, a = 0, start
+        while a not in seen:
+            seen.add(a)
+            a = x[a - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def transposition(n: int, i: int, j: int) -> Images:
@@ -279,6 +294,19 @@ def fixed_point_walk(f: ModuleVector) -> ModuleVector:
     return ModuleVector.from_numerators(
         n, m, [(n - 1) * a for a in acc], factorial(n) * f.denominator
     )
+
+
+def orbit_counts_from_tables(n: int, m: int) -> dict[tuple[int, ...], Counter]:
+    """For each cycle type, how many permutations of that type send each m-subset
+    J onto each K: a Counter of the position pairs (x(J), J) over every J, read
+    from x's full table of subset images."""
+    counts: dict[tuple[int, ...], Counter] = {}
+    positions = range(len(enumerate_subsets(n, m)))
+    for x in enumerate_permutations(n, ceiling=None):
+        counts.setdefault(cycle_lengths(x.images), Counter()).update(
+            zip(subset_images(x, m), positions)
+        )
+    return counts
 
 
 def shift_pairs_from_tables(n: int, m: int) -> list[Counter]:

@@ -67,8 +67,8 @@ MODULES = [
 #: The reference routes, all defined in `references`.
 REFERENCES = [
     "CoefficientTable", "character_projection_oracle", "clear_oracle_cache",
-    "conditional_expectation", "_double_sum_values", "_orbit_counts",
-    "_projection_weights", "_fixed_point_route", "_shift_pair_counts",
+    "conditional_expectation", "_double_sum_values", "_group_walk", "_carrier",
+    "_transported_weights", "_projection_weights", "_fixed_point_route",
 ]
 
 

@@ -393,6 +393,39 @@ class TestUsage:
         assert "unrecognized arguments: --ceiling 8" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mv"]
 
+    @pytest.mark.parametrize("value", ["٦", "1_0"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dims", "--n"],
+            ["chartable", "--max-l", "2", "--out", "table.csv", "--n"],
+            ["chartable", "--n", "4", "--out", "table.csv", "--max-l"],
+            ["decompose", "--m", "2", "--input", "in.mv", "--out", "out.dec", "--n"],
+            ["decompose", "--n", "6", "--input", "in.mv", "--out", "out.dec", "--m"],
+            ["specht", "--l", "2", "--out", "basis", "--n"],
+            ["specht", "--n", "6", "--out", "basis", "--l"],
+            ["verify", "--m", "2", "--report", "r.json", "--n"],
+            ["verify", "--n", "6", "--report", "r.json", "--m"],
+            ["verify", "--n", "6", "--m", "2", "--report", "r.json", "--seed"],
+            ["verify", "--n", "6", "--m", "2", "--report", "r.json", "--trials"],
+            ["verify", "--n", "6", "--m", "2", "--report", "r.json", "--ceiling"],
+            ["bench", "--m", "2", "--n"],
+            ["bench", "--n", "6", "--m"],
+            ["bench", "--n", "6", "--m", "2", "--seed"],
+            ["bench", "--n", "6", "--m", "2", "--ceiling"],
+        ],
+        ids=" ".join,
+    )
+    def test_integer_flags_take_ascii_digits_only(self, args, value, tmp_path, monkeypatch, capsys):
+        # The file readers' rule: int() alone would read both values.
+        monkeypatch.chdir(tmp_path)
+        save_module_vector(random_module_vector(6, 2, 1), tmp_path / "in.mv")
+        assert main(args + [value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {args[-1]}: invalid integer {value!r}" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.mv"]
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 2
 

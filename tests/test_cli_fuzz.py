@@ -2,6 +2,7 @@
 
 Every argument list, well formed or not, must end in exit code 0, 1 or 2
 without an uncaught exception, and only `verify` and `bench` may return 1.
+An integer flag spelled with non-ASCII digits or "_" is a usage error (2).
 The shapes stay small (n <= 7 for `verify` and `bench`, n <= 12 for
 `chartable`, n <= 60 for `dims`), so that each run is quick."""
 
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 from spechtstat import random_module_vector, save_module_vector
 from spechtstat.cli import main
 
+#: Spellings that int() alone reads as integers and the file readers refuse.
+NOT_ASCII = ["٦", "1_0"]
+
 #: Flag values that are no integer, or that argparse reads as another flag.
-JUNK = ["", "x", "1.5", "-", "0x10", "--n", " 3 "]
+JUNK = ["", "x", "1.5", "-", "0x10", "--n", " 3 "] + NOT_ASCII
 
 
 def mostly(good, bad):
@@ -98,5 +102,6 @@ def test_every_argument_list_exits_0_1_or_2(data, tmp_path):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert code != 1 or command in ("verify", "bench"), (argv, out.getvalue())
+    assert code == 2 or not set(NOT_ASCII) & set(argv), (argv, code)
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), (argv, err.getvalue())

@@ -15,6 +15,7 @@ from oracles import (
     apply_perm_to_subset,
     brute_fixed_subset_count,
     compose,
+    cycle_lengths,
     fixed_points,
     invert,
     standard_tableau_count,
@@ -137,6 +138,11 @@ class TestCycleType:
 
     def test_four_cycle(self):
         assert Permutation.from_cycles(4, (1, 2, 3, 4)).cycle_type() == (4,)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_permutation_against_its_cycles_followed_in_order(self, n):
+        for x in enumerate_permutations(n):
+            assert x.cycle_type() == cycle_lengths(x.images)
 
     def test_text_form(self):
         assert format_cycle_type((3, 2, 1, 1)) == "3-2-1-1"
@@ -303,7 +309,7 @@ class TestSubsetCaches:
         # Only the tables that some caller reads again.
         assert set(caches) == {
             "combinatorics._mask_index", "combinatorics._fixed_subset_poly",
-            "hoeffding._face_columns", "references._orbit_counts",
+            "hoeffding._face_columns", "references._group_walk",
             "references._projection_weights", "verify._projection_images",
         }
         assert [name for name, c in caches.items() if c.cache_info().maxsize is None] == []

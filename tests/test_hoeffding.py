@@ -487,7 +487,7 @@ class TestOracle:
             assert character_projection_oracle(f, l) == brute_isotypic_projection(f, l, chi)
 
     def test_clear_oracle_cache_empties_every_oracle_cache(self):
-        caches = (references._orbit_counts, references._projection_weights)
+        caches = (references._group_walk, references._projection_weights)
         character_projection_oracle(random_module_vector(5, 2, 34), 1)
         assert all(c.cache_info().currsize > 0 for c in caches)
         clear_oracle_cache()

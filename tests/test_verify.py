@@ -3,16 +3,18 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb
 from pathlib import Path
 
 import pytest
-from oracles import fixed_point_walk, shift_pairs_from_tables
+from oracles import fixed_point_walk, orbit_counts_from_tables, shift_pairs_from_tables
 
 import spechtstat
 from spechtstat import (
     DomainError,
     HoeffdingDecomposition,
+    Permutation,
     ResourceLimitError,
     RunConfig,
     bench,
@@ -21,6 +23,7 @@ from spechtstat import (
     module_vector_to_text,
     random_module_vector,
     run_suites,
+    two_row_character,
 )
 from spechtstat import references, verify
 from spechtstat.references import clear_oracle_cache
@@ -36,6 +39,20 @@ from spechtstat.verify import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all_n7_m3_trials2_seed1.txt"
+
+
+def _fix_less_one(ct: tuple[int, ...]) -> int:
+    return ct.count(1) - 1
+
+
+def _weighted(counts, weight, size: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix W[K][J] = sum over cycle types ct of weight(ct) times the number
+    of permutations of type ct sending J onto K, from `orbit_counts_from_tables`."""
+    out = [[0] * size for _ in range(size)]
+    for ct, cnt in counts.items():
+        for (k, j), c in cnt.items():
+            out[k][j] += weight(ct) * c
+    return tuple(map(tuple, out))
 
 
 class TestRandomVectors:
@@ -228,7 +245,8 @@ class TestShiftedSums:
 
 
 class TestReferenceWalks:
-    """The two n! walks of `references` against literal walks over full image tables."""
+    """The n! walk of `references`, and the counts it transports by conjugation,
+    against literal walks over full image tables."""
 
     @pytest.mark.parametrize(
         "n, m", [(n, m) for n in range(2, 8) for m in range(1, n // 2 + 1)] + [(8, 3)]
@@ -239,11 +257,37 @@ class TestReferenceWalks:
 
     @pytest.mark.parametrize("n, m", [(6, 2), (7, 3), (8, 4)])
     def test_shift_pair_counts_equal_the_full_table_counts(self, n, m):
-        assert references._shift_pair_counts(n, m) == shift_pairs_from_tables(n, m)
+        assert references._group_walk(n, m).pairs == shift_pairs_from_tables(n, m)
 
-    def test_all_suites_walk_the_group_twice(self, monkeypatch):
-        # Once for the oracle's orbit counts, which the fixed-point route reads
-        # too, and once for the shift suite's pair counts.
+    @pytest.mark.parametrize(
+        "n, m", [(n, m) for n in range(2, 8) for m in range(1, n // 2 + 1)] + [(8, 3), (8, 4)]
+    )
+    def test_transported_weights_equal_the_full_table_counts(self, n, m):
+        counts = orbit_counts_from_tables(n, m)
+        for l in range(m + 1):
+            chi = partial(two_row_character, n, l)
+            assert references._projection_weights(n, m, l) == _weighted(counts, chi, comb(n, m))
+        transported = references._transported_weights(n, m, _fix_less_one)
+        assert tuple(zip(*transported)) == _weighted(counts, _fix_less_one, comb(n, m))
+
+    def test_an_identity_carrier_fails_the_comparison(self, monkeypatch):
+        # With sigma_J the identity, every column reads the counts of base = {1..m}.
+        n, m = 6, 2
+        counts = orbit_counts_from_tables(n, m)
+        clear_oracle_cache()
+        monkeypatch.setattr(references, "_carrier", lambda n, J: Permutation(range(1, n + 1)))
+        try:
+            for l in range(1, m + 1):
+                chi = partial(two_row_character, n, l)
+                assert references._projection_weights(n, m, l) != _weighted(counts, chi, comb(n, m))
+            transported = references._transported_weights(n, m, _fix_less_one)
+            assert tuple(zip(*transported)) != _weighted(counts, _fix_less_one, comb(n, m))
+        finally:
+            clear_oracle_cache()
+
+    def test_all_suites_walk_the_group_once(self, monkeypatch):
+        # One walk records what the oracle, the fixed-point route and the shift
+        # suite read.
         clear_oracle_cache()
         walks = []
         real = references.enumerate_permutations
@@ -251,7 +295,7 @@ class TestReferenceWalks:
             references, "enumerate_permutations", lambda *a, **k: walks.append(a) or real(*a, **k)
         )
         assert all(r.ok for r in run_suites(RunConfig(n=6, m=3, seed=2, trials=2), "all"))
-        assert walks == [(6,), (6,)]
+        assert walks == [(6,)]
 
     def test_interleaved_shapes_give_their_first_projections(self):
         shapes = [(5, 2), (6, 3), (7, 2), (6, 1)]
@@ -265,7 +309,7 @@ class TestReferenceWalks:
             f = inputs[shape]
             assert [character_projection_oracle(f, l) for l in range(f.l + 1)] == first[shape]
             assert references._fixed_point_route(f) == first[shape][1]
-            assert references._orbit_counts.cache_info().currsize == 1
+            assert references._group_walk.cache_info().currsize == 1
 
 
 class TestGoldenOutput:
