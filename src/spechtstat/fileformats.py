@@ -37,8 +37,10 @@ opened as UTF-8 text with universal newlines and split by `str.splitlines` as
 well, so that a file and its text read alike; a byte that is not UTF-8 is a
 `ParseError` naming its line.  Each record is parsed as it arrives into its
 position and integer pair p/q, and a section becomes one integer list over one
-lcm of its denominators at the next header.  A value text is parsed once per
-section, and kernel m's values are kept for component m, which repeats them.
+lcm of its denominators at the next header.  No table of value texts is kept:
+a record whose value text equals the previous record's takes that record's
+pair, as the writer reuses a text while the numerator repeats, so the
+constant component 0 costs one parse; any other record's value is parsed.
 Once a section's records cover an eighth of its subsets, canonical keys
 ("1,4,7") map through a table (text -> position), built once per call for
 layer m, which the components share, and once per section for the other
@@ -52,7 +54,9 @@ component 0 is the constant mean.  Each is checked as soon as it (and the
 kernel or mean it needs) has been read.  Both readers raise the first fault
 that the lines read so far show and read no further: a bad line fails at that
 line, and a kernel or component that fails its check names its header line.
-Only missing sections wait for the end of the file.
+Only missing sections wait for the end of the file.  A component that passes
+its check is dropped, so a loaded decomposition holds its kernels only, and
+its `components` lift kernel l on each lookup (`hoeffding._LiftedComponents`).
 """
 
 from __future__ import annotations
@@ -78,7 +82,12 @@ from .combinatorics import (
     subset_position,
 )
 from .errors import ParseError, ResourceLimitError
-from .hoeffding import HoeffdingDecomposition, is_completely_degenerate, u_statistic_lift
+from .hoeffding import (
+    HoeffdingDecomposition,
+    _LiftedComponents,
+    is_completely_degenerate,
+    u_statistic_lift,
+)
 
 
 def _pair_text(p: int, q: int) -> str:
@@ -235,17 +244,18 @@ class _VectorParser:
 
     `read` parses each record as it arrives into its position and (p, q), and
     `finish` puts the entries over one lcm of their denominators, in one
-    integer list.  values (value text -> (p, q)) and keys ((n, l) -> canonical
-    subset text -> position) are the caller's, so that the sections of one
-    file can share them.  A shape's key table is built once the records read
+    integer list.  A value text equal to the previous record's is not parsed
+    again; no other value is remembered.  keys ((n, l) -> canonical subset
+    text -> position) are the caller's, so that the sections of one file can
+    share them.  A shape's key table is built once the records read
     cover an eighth of its subsets (and n/8), so a sparse vector of a huge
     shape builds none; a key the table does not hold, and every key read
     before the table is built, goes through `parse_subset` to the same
     position, with the same checks and messages.
     """
 
-    def __init__(self, values: dict[str, tuple[int, int]], keys: dict[tuple[int, int], dict[str, int]]):
-        self.values, self.keys = values, keys
+    def __init__(self, keys: dict[tuple[int, int], dict[str, int]]):
+        self.keys = keys
         self.last = 0  # line number of the last header line read
         self.n: int | None = None
         self.l: int | None = None
@@ -267,9 +277,10 @@ class _VectorParser:
         return None
 
     def _records(self, lines: Iterator[tuple[int, str]], sections: bool) -> tuple[int, str] | None:
-        n, l, values, entries = self.n, self.l, self.values, self.entries
+        n, l, entries = self.n, self.l, self.entries
         canonical = self.keys.get((n, l), {})
         size = None  # C(n, l), once n/8 records are in
+        prev, pair = None, None  # the previous record's value text and its (p, q)
         for lineno, line in lines:
             if sections and line.startswith("["):
                 return lineno, line
@@ -290,9 +301,8 @@ class _VectorParser:
                 position = subset_position(n, subset)
             if position in entries:
                 raise ParseError(f"line {lineno}: duplicate record for subset {key!r}")
-            pair = values.get(value)
-            if pair is None:
-                pair = values[value] = _parse_pair(value, lineno)
+            if value != prev:
+                prev, pair = value, _parse_pair(value, lineno)
             entries[position] = pair
         return None
 
@@ -307,14 +317,14 @@ class _VectorParser:
         nums = [0] * _layer_size(self.n, self.l)
         for position, (p, q) in entries.items():
             nums[position] = p * scale[q]
-        # The pairs and the memo go before the vector copies nums.
+        # The pairs go before the vector copies nums.
         del entries, scale
-        self.entries = self.values = None
+        self.entries = None
         return ModuleVector.from_numerators(self.n, self.l, nums, den)
 
 
 def _read_module_vector(raw_lines: Iterable[str]) -> ModuleVector:
-    parser = _VectorParser({}, {})
+    parser = _VectorParser({})
     parser.read(_content_lines(raw_lines), sections=False)
     if not parser.last:
         raise ParseError("line 1: empty vector file")
@@ -389,38 +399,37 @@ class _DecompositionReader:
     section's records are parsed as they arrive, and the section is finished
     once the next header has been read, or at the end.  Each kernel is checked
     for degeneracy, and each component against the constant mean or its
-    kernel's lift as soon as both are in.  The first fault met is raised and
-    nothing further is read; missing sections are reported at the end.
+    kernel's lift as soon as both are in.  A component that passes is dropped,
+    and only its index is kept; one read before its kernel waits for it.  The
+    first fault met is raised and nothing further is read; missing sections
+    are reported at the end.  The result holds the kernels only: its
+    components are a `hoeffding._LiftedComponents` view that lifts them on
+    lookup.
     """
 
     def __init__(self) -> None:
         self.kernels: dict[int, ModuleVector] = {}
-        self.components: dict[int, ModuleVector] = {}
-        self.component_lines: dict[int, int] = {}
+        self.components: set[int] = set()  # the indices of the components read
+        self.waiting: dict[int, tuple[int, ModuleVector]] = {}  # l -> header line, component
         self.keys: dict[tuple[int, int], dict[str, int]] = {}
-        self.kernel_m_values: dict[str, tuple[int, int]] = {}  # kept for component m
 
     def read(self, lines: Iterator[tuple[int, str]]) -> HoeffdingDecomposition:
         header = self._preamble(lines)
         while header is not None:
             kind, index, lineno = _section_header(*header)
             # Only the key table of layer m is read again (by the components).
-            keys = self.keys if kind == "component" or index == self.m else {}
-            # A value text is parsed once per section; component m takes over
-            # kernel m's memo, as it repeats kernel m's values.
-            parser = _VectorParser({}, keys)
-            if kind == "component" and index == self.m:
-                parser.values, self.kernel_m_values = self.kernel_m_values, {}
+            parser = _VectorParser(self.keys if kind == "component" or index == self.m else {})
             parser.last = lineno  # so that an empty section names its header line
             header = parser.read(lines, sections=True)
-            self._section(kind, index, lineno, parser)
+            self._section(kind, index, lineno, parser.finish())
         missing_k = [l for l in range(1, self.m + 1) if l not in self.kernels]
         missing_c = [l for l in range(self.m + 1) if l not in self.components]
         if missing_k or missing_c:
             raise ParseError(
                 f"line 1: missing sections (kernels {missing_k}, components {missing_c})"
             )
-        return HoeffdingDecomposition(self.n, self.m, self.mean, self.kernels, self.components)
+        n, m, mean, kernels = self.n, self.m, self.mean, self.kernels
+        return HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(n, m, mean, kernels))
 
     def _preamble(self, lines: Iterator[tuple[int, str]]) -> tuple[int, str] | None:
         # n, m and the mean, each parsed as its line arrives; returns the line
@@ -448,10 +457,8 @@ class _DecompositionReader:
             raise ParseError(f"line {lineno}: unexpected content before first section: {line!r}")
         return following
 
-    def _section(self, kind: str, index: int, lineno: int, parser: _VectorParser) -> None:
+    def _section(self, kind: str, index: int, lineno: int, vec: ModuleVector) -> None:
         n, m = self.n, self.m
-        values = parser.values  # kept only if this is kernel m, for component m
-        vec = parser.finish()
         if vec.n != n:
             raise ParseError(f"line {lineno}: section declares n={vec.n}, preamble has n={n}")
         if kind == "kernel":
@@ -462,24 +469,19 @@ class _DecompositionReader:
             if not is_completely_degenerate(vec):
                 raise ParseError(f"line {lineno}: kernel {index} is not completely degenerate")
             self.kernels[index] = vec
-            if index == m and m not in self.components:
-                self.kernel_m_values = values
         else:
             if not (0 <= index <= m) or vec.l != m:
                 raise ParseError(f"line {lineno}: component {index} must have l={m}, index in [0..{m}]")
             if index in self.components:
                 raise ParseError(f"line {lineno}: duplicate component {index}")
-            self.components[index] = vec
-            self.component_lines[index] = lineno
-        del values, vec
+            self.components.add(index)
+            self.waiting[index] = lineno, vec
         self._check(index)
 
     def _check(self, l: int) -> None:
         # Component l against the constant mean (l = 0) or its kernel's lift,
-        # once both are in.  A component that passes is replaced by the vector
-        # it equals, which shares its entries: the one mean, or kernel m itself.
-        comp = self.components.get(l)
-        if comp is None:
+        # once both are in; a component that passes is dropped.
+        if l not in self.waiting:
             return
         if l == 0:
             want = ModuleVector.constant(self.n, self.m, self.mean)
@@ -489,9 +491,9 @@ class _DecompositionReader:
             fault = f"component {l} is not the U-statistic lift of kernel {l}"
         else:
             return
+        lineno, comp = self.waiting.pop(l)
         if comp != want:
-            raise ParseError(f"line {self.component_lines[l]}: {fault}")
-        self.components[l] = want
+            raise ParseError(f"line {lineno}: {fault}")
 
 
 def _preamble_line(lines: Iterator[tuple[int, str]], lineno: int, missing: str) -> tuple[int, str]:

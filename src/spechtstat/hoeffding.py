@@ -285,7 +285,10 @@ class HoeffdingDecomposition:
 
     components[0] is the constant mean vector; components[l] for l >= 1 is
     the lift of kernels[l]; the components sum back to the input exactly and
-    are pairwise orthogonal.  `decompose` unpacks each one on lookup.
+    are pairwise orthogonal.  Neither `decompose` nor `load_decomposition`
+    keeps a component: the first unpacks each one from its packed chain on
+    lookup, the second lifts kernel l on lookup, so a caller that reads a
+    component twice should keep it in a local.
     """
 
     n: int
@@ -302,31 +305,35 @@ class HoeffdingDecomposition:
 
 
 class _LiftedComponents(Mapping):
-    """Components 0..m of a decomposition, each unpacked from the chain's top layer on lookup.
+    """Components 0..m of a decomposition, each built from the kernels on lookup.
 
     Component 0 is the constant mean, component m is kernel m itself (its lift
     to order m is the identity), and component l in between is lane l of the
-    packed top layer that `_chain` yields last (`_lane`).  Only that layer is
-    held and no component is kept, so a caller that reads one component at a
-    time holds one component at a time, and one that reads a component twice
-    unpacks it twice.
+    packed top layer that `_chain` yields last (`_lane`), or, in a view that
+    holds no packed layer (a loaded file's), `u_statistic_lift` of kernel l.
+    No component is kept, so a caller that reads one component at a time holds
+    one component at a time, and one that reads a component twice builds it
+    twice.
     """
 
-    def __init__(self, mean: Fraction, kernels: dict[int, ModuleVector], top: _Packed):
-        self._mean, self._kernels, self._top = mean, kernels, top
+    def __init__(
+        self, n: int, m: int, mean: Fraction, kernels: dict[int, ModuleVector], top: _Packed | None = None
+    ):
+        self._n, self._m, self._mean, self._kernels, self._top = n, m, mean, kernels, top
 
     def __getitem__(self, l: int) -> ModuleVector:
-        top = self._top
         if l == 0:
-            return ModuleVector.constant(top.n, top.a, self._mean)
+            return ModuleVector.constant(self._n, self._m, self._mean)
         phi = self._kernels[l]
-        return phi if l == top.a else _lane(top, l)
+        if self._top is None or l == self._m:
+            return u_statistic_lift(phi, self._m)
+        return _lane(self._top, l)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(self._top.a + 1))
+        return iter(range(self._m + 1))
 
     def __len__(self) -> int:
-        return self._top.a + 1
+        return self._m + 1
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -359,4 +366,4 @@ def decompose(h: ModuleVector) -> HoeffdingDecomposition:
     for top in _chain(h, range(1, m + 1)):
         kernels[top.a] = _lane(top, top.a)
     mean = h.mean()
-    return HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(mean, kernels, top))
+    return HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(n, m, mean, kernels, top))

@@ -1,10 +1,14 @@
 import os
+import pickle
+import random
 import re
 import stat
 import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -615,6 +619,65 @@ class TestErrorOrder:
         assert decomposition_from_text(text) == load_decomposition(path) == dec
 
 
+class TestKernelsOnly:
+    """The reader parses a value text again only when it differs from the
+    previous record's, and keeps the kernels only: a loaded decomposition
+    lifts each component on lookup."""
+
+    def test_constant_component_parses_once(self, monkeypatch):
+        dec = decompose(random_module_vector(6, 2, 5))
+        text = decomposition_to_text(dec)
+        lines = text.splitlines()
+        first = lines.index("[component 0]") + 4  # line number of its first record
+        last = lines.index("[component 1]")
+        assert last - first + 1 == comb(6, 2)
+        parsed = []
+        parse = fileformats._parse_pair
+
+        def counted(value, lineno):
+            parsed.append(lineno)
+            return parse(value, lineno)
+
+        monkeypatch.setattr(fileformats, "_parse_pair", counted)
+        assert decomposition_from_text(text) == dec
+        assert [x for x in parsed if first <= x <= last] == [first]
+
+    def test_component_m_spelled_otherwise(self, tmp_path):
+        h = random_module_vector(6, 2, 5)
+        rng = random.Random(3)
+        records = []
+        for (a, b), value in zip(combinations(range(1, 7), 2), decompose(h).kernels[2].values):
+            if value:
+                key = rng.choice([f"{b},{a}", f"0{a},{b}", f"{a},{b}"])
+                records.append(f"{key} = {2 * value.numerator}/{2 * value.denominator}\n")
+        rng.shuffle(records)
+        text = _order_text(K1, K2, C0, C1, "[component 2]\nn = 6\nl = 2\n" + "".join(records))
+        assert text != _order_text(K1, K2, C0, C1, C2)
+        path = tmp_path / "respelled.dec"
+        path.write_text(text)
+        assert decomposition_from_text(text) == load_decomposition(path) == decompose(h)
+
+    def test_loaded_decomposition_pickles_and_lifts_on_lookup(self, tmp_path):
+        h = random_module_vector(7, 3, 86)
+        dec = decompose(h)
+        path = tmp_path / "lifted.dec"
+        save_decomposition(dec, path)
+        loaded = load_decomposition(path)
+        back = pickle.loads(pickle.dumps(loaded))
+        assert back == loaded == dec
+        for got in (loaded, back):
+            assert list(got.components) == [0, 1, 2, 3]
+            for l in range(4):
+                assert got.components[l] == dec.components[l]
+            assert got.reconstruction() == h
+
+    @pytest.mark.parametrize("name", ["decompose_n10_m5.dec", "decompose_n14_m3.dec"])
+    def test_golden_file_saves_again_to_its_bytes(self, name, tmp_path):
+        path = tmp_path / name
+        save_decomposition(load_decomposition(DATA / name), path)
+        assert path.read_bytes() == (DATA / name).read_bytes()
+
+
 @pytest.fixture(scope="module")
 def wide(tmp_path_factory):
     """The decomposition of random_module_vector(16, 8, 1), and a file of it (5.6 MB)."""
@@ -650,6 +713,24 @@ class TestStreamedMemory:
         back, _, transient = _traced(lambda: load_decomposition(path))
         assert back == dec
         assert transient < 3 * path.stat().st_size
+
+    def test_load_transient_peak_of_wide_values_is_below_half_the_file_size(self, tmp_path):
+        # The benchmark's wide-io shape: n=60, m=2, p/q with p in +-10^4 and
+        # q in [1, 1000], so the common denominators grow to about 1400 bits.
+        rng = random.Random(11)
+        values = [Fraction(rng.randint(-(10**4), 10**4), rng.randint(1, 1000)) for _ in range(comb(60, 2))]
+        dec = decompose(ModuleVector(60, 2, values))
+        path = tmp_path / "wide-io.dec"
+        save_decomposition(dec, path)
+        back, _, transient = _traced(lambda: load_decomposition(path))
+        assert back == dec
+        assert transient < 0.5 * path.stat().st_size
+
+    def test_load_holds_less_than_half_the_file_size(self, wide):
+        dec, path = wide
+        back, held, _ = _traced(lambda: load_decomposition(path))
+        assert back == dec
+        assert held < 0.5 * path.stat().st_size
 
 
 @needs_digit_limit
