@@ -24,7 +24,8 @@ is layer m's, read by kernel m and every component.  The components of
 `hoeffding.decompose`, unpacked on lookup, are built, written and dropped one
 at a time.  Each entry is reduced by one gcd, and its text is reused while
 the numerator repeats, so the constant component 0 costs one gcd; kernel m's
-lines are kept and written again as component m, which equals it.
+lines are kept and written again for component m when it is kernel m itself,
+as both views return it.
 `save_module_vector` and `save_decomposition` write to a temporary file
 beside the target and move it into place with `os.replace` after the last
 line, so a write that fails leaves no partial file and an existing target
@@ -32,9 +33,11 @@ keeps its bytes (a device or pipe, which a rename would replace, is written
 in place).  `module_vector_to_text` and `decomposition_to_text` run the same
 writers into a `StringIO`.
 
-The readers take the lines of a text, split by `str.splitlines`, or of a file
-opened as UTF-8 text with universal newlines and split by `str.splitlines` as
-well, so that a file and its text read alike; a byte that is not UTF-8 is a
+Each file kind has one reader function: `_read_vector` reads a vector file or
+one section, and `_read_decomposition` a decomposition file.  They take the
+lines of a text, split by `str.splitlines`, or of a file opened as UTF-8 text
+with universal newlines and split by `str.splitlines` as well, so that a file
+and its text read alike; a byte that is not UTF-8 is a
 `ParseError` naming its line.  Each record is parsed as it arrives into its
 position and integer pair p/q, and a section becomes one integer list over one
 lcm of its denominators at the next header.  No table of value texts is kept:
@@ -49,14 +52,16 @@ take the same checks and messages, then `subset_position`.  Nothing is cached
 between calls.
 
 A decomposition file is accepted only if every kernel is completely
-degenerate, every component is the U-statistic lift of its kernel and
-component 0 is the constant mean.  Each is checked as soon as it (and the
-kernel or mean it needs) has been read.  Both readers raise the first fault
-that the lines read so far show and read no further: a bad line fails at that
-line, and a kernel or component that fails its check names its header line.
-Only missing sections wait for the end of the file.  A component that passes
-its check is dropped, so a loaded decomposition holds its kernels only, and
-its `components` lift kernel l on each lookup (`hoeffding._LiftedComponents`).
+degenerate and every component equals the component that the loaded
+decomposition's own view, `hoeffding._LiftedComponents` over the kernels read,
+returns for it; the rule for a valid component lives there alone.  Each is
+checked as soon as it (and the kernel it needs) has been read.  Both readers
+raise the first fault that the lines read so far show and read no further: a
+bad line fails at that line, and a kernel or component that fails its check
+names its header line.  Only missing sections wait for the end of the file.
+A component that passes its check is dropped, so a loaded decomposition holds
+its kernels only, and its `components` are that view, which lifts kernel l on
+each lookup.
 """
 
 from __future__ import annotations
@@ -86,7 +91,6 @@ from .hoeffding import (
     HoeffdingDecomposition,
     _LiftedComponents,
     is_completely_degenerate,
-    u_statistic_lift,
 )
 
 
@@ -239,96 +243,81 @@ def _named_int(lineno: int, line: str, name: str) -> int:
         raise ParseError(f"line {lineno}: bad integer {value!r} for '{name}'") from None
 
 
-class _VectorParser:
+def _read_vector(
+    lines: Iterator[tuple[int, str]], last: int, keys: dict[tuple[int, int], dict[str, int]], sections: bool
+) -> tuple[ModuleVector, tuple[int, str] | None]:
     """One vector read from numbered content lines: "n = ...", "l = ...", then records.
 
-    `read` parses each record as it arrives into its position and (p, q), and
-    `finish` puts the entries over one lcm of their denominators, in one
-    integer list.  A value text equal to the previous record's is not parsed
-    again; no other value is remembered.  keys ((n, l) -> canonical subset
-    text -> position) are the caller's, so that the sections of one file can
-    share them.  A shape's key table is built once the records read
-    cover an eighth of its subsets (and n/8), so a sparse vector of a huge
-    shape builds none; a key the table does not hold, and every key read
-    before the table is built, goes through `parse_subset` to the same
-    position, with the same checks and messages.
+    Returns the vector and, with sections, the "[" line that ends it (None at
+    the end).  last names a missing header: a section's header line, or 0 for
+    a whole file, where no content at all is an empty file.  Each record is
+    parsed as it arrives into its position and (p, q), and the entries are put
+    over one lcm of their denominators in one integer list at the end.  A value
+    text equal to the previous record's is not parsed again; no other value is
+    remembered.  keys ((n, l) -> canonical subset text -> position) are the
+    caller's, so that the sections of one file can share them.  A shape's key
+    table is built once the records read cover an eighth of its subsets (and
+    n/8), so a sparse vector of a huge shape builds none; a key the table does
+    not hold, and every key read before the table is built, goes through
+    `parse_subset` to the same position, with the same checks and messages.
     """
-
-    def __init__(self, keys: dict[tuple[int, int], dict[str, int]]):
-        self.keys = keys
-        self.last = 0  # line number of the last header line read
-        self.n: int | None = None
-        self.l: int | None = None
-        self.entries: dict[int, tuple[int, int]] = {}  # position -> (p, q)
-
-    def read(self, lines: Iterator[tuple[int, str]], sections: bool) -> tuple[int, str] | None:
-        """Read lines up to the end, or with sections up to the next "[" line, which is returned."""
-        for lineno, line in lines:
-            if sections and line.startswith("["):
-                return lineno, line
-            if self.n is None:
-                self.n, self.last = _named_int(lineno, line, "n"), lineno
-                continue
-            n, l = self.n, _named_int(lineno, line, "l")
-            if n < 1 or l < 0 or l > n:
-                raise ParseError(f"line {self.last}: invalid shape n={n}, l={l}")
-            self.l, self.last = l, lineno
-            return self._records(lines, sections)
-        return None
-
-    def _records(self, lines: Iterator[tuple[int, str]], sections: bool) -> tuple[int, str] | None:
-        n, l, entries = self.n, self.l, self.entries
-        canonical = self.keys.get((n, l), {})
-        size = None  # C(n, l), once n/8 records are in
-        prev, pair = None, None  # the previous record's value text and its (p, q)
-        for lineno, line in lines:
-            if sections and line.startswith("["):
-                return lineno, line
-            key, value = _split_assignment(lineno, line)
-            if not canonical and n <= 8 * (len(entries) + 1):
-                # n is tested first to keep comb() cheap: C(n, l) >= n for 0 < l < n.
-                size = comb(n, l) if size is None else size
-                if size <= 8 * (len(entries) + 1):
-                    canonical = self.keys[n, l] = dict(zip(_key_texts(n, l), count()))
-            position = canonical.get(key)
-            if position is None:
-                try:
-                    subset = parse_subset(key)
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
-                if len(subset) != l or (subset and subset[-1] > n):
-                    raise ParseError(f"line {lineno}: {key!r} is not an {l}-subset of [1..{n}]")
-                position = subset_position(n, subset)
-            if position in entries:
-                raise ParseError(f"line {lineno}: duplicate record for subset {key!r}")
-            if value != prev:
-                prev, pair = value, _parse_pair(value, lineno)
-            entries[position] = pair
-        return None
-
-    def finish(self) -> ModuleVector:
-        if self.l is None:
-            name = "n" if self.n is None else "l"
-            raise ParseError(f"line {self.last}: missing '{name} = ...' header")
-        entries = self.entries
-        # One lcm over the distinct denominators puts every entry over den.
-        den = lcm(*{q for _, q in entries.values()})
-        scale = {q: den // q for _, q in entries.values()}
-        nums = [0] * _layer_size(self.n, self.l)
-        for position, (p, q) in entries.items():
-            nums[position] = p * scale[q]
-        # The pairs go before the vector copies nums.
-        del entries, scale
-        self.entries = None
-        return ModuleVector.from_numerators(self.n, self.l, nums, den)
+    n = l = header = None
+    for lineno, line in lines:
+        if sections and line.startswith("["):
+            break
+        if n is None:
+            n, last = _named_int(lineno, line, "n"), lineno
+            continue
+        l = _named_int(lineno, line, "l")
+        if n < 1 or l < 0 or l > n:
+            raise ParseError(f"line {last}: invalid shape n={n}, l={l}")
+        break
+    if l is None:
+        if not last:
+            raise ParseError("line 1: empty vector file")
+        name = "n" if n is None else "l"
+        raise ParseError(f"line {last}: missing '{name} = ...' header")
+    entries: dict[int, tuple[int, int]] = {}  # position -> (p, q)
+    canonical = keys.get((n, l), {})
+    size = None  # C(n, l), once n/8 records are in
+    prev, pair = None, None  # the previous record's value text and its (p, q)
+    for lineno, line in lines:
+        if sections and line.startswith("["):
+            header = lineno, line
+            break
+        key, value = _split_assignment(lineno, line)
+        if not canonical and n <= 8 * (len(entries) + 1):
+            # n is tested first to keep comb() cheap: C(n, l) >= n for 0 < l < n.
+            size = comb(n, l) if size is None else size
+            if size <= 8 * (len(entries) + 1):
+                canonical = keys[n, l] = dict(zip(_key_texts(n, l), count()))
+        position = canonical.get(key)
+        if position is None:
+            try:
+                subset = parse_subset(key)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+            if len(subset) != l or (subset and subset[-1] > n):
+                raise ParseError(f"line {lineno}: {key!r} is not an {l}-subset of [1..{n}]")
+            position = subset_position(n, subset)
+        if position in entries:
+            raise ParseError(f"line {lineno}: duplicate record for subset {key!r}")
+        if value != prev:
+            prev, pair = value, _parse_pair(value, lineno)
+        entries[position] = pair
+    # One lcm over the distinct denominators puts every entry over den.
+    den = lcm(*{q for _, q in entries.values()})
+    scale = {q: den // q for _, q in entries.values()}
+    nums = [0] * _layer_size(n, l)
+    for position, (p, q) in entries.items():
+        nums[position] = p * scale[q]
+    # The pairs go before the vector copies nums.
+    del entries, scale
+    return ModuleVector.from_numerators(n, l, nums, den), header
 
 
 def _read_module_vector(raw_lines: Iterable[str]) -> ModuleVector:
-    parser = _VectorParser({})
-    parser.read(_content_lines(raw_lines), sections=False)
-    if not parser.last:
-        raise ParseError("line 1: empty vector file")
-    return parser.finish()
+    return _read_vector(_content_lines(raw_lines), 0, {}, sections=False)[0]
 
 
 def module_vector_from_text(text: str) -> ModuleVector:
@@ -348,9 +337,10 @@ def load_module_vector(path: str | Path) -> ModuleVector:
 def _write_decomposition(write: Callable[[str], object], dec: HoeffdingDecomposition) -> None:
     # The sections in file order, one write per line.  Each component is looked
     # up once, so a decomposition that unpacks its components on lookup
-    # (`hoeffding.decompose`) holds one at a time.  Component m is kernel m (its
-    # lift to order m is the identity), so kernel m's lines are kept and written
-    # again; layer m's key table, the only one, serves kernel m and each component.
+    # (`hoeffding.decompose`) holds one at a time.  Both views return kernel m
+    # itself as component m, for which kernel m's kept lines are written again;
+    # an equal copy, written afresh, gives the same lines.  Layer m's key table,
+    # the only one, serves kernel m and each component.
     n, m = dec.n, dec.m
     keys_m = _key_texts(n, m)
     write(f"n = {n}\nm = {m}\nmean = {format_rational(dec.mean)}\n")
@@ -365,7 +355,7 @@ def _write_decomposition(write: Callable[[str], object], dec: HoeffdingDecomposi
     for l in range(m + 1):
         comp = dec.components[l]
         write(f"[component {l}]\n")
-        if l == m and comp == dec.kernels[m]:
+        if comp is dec.kernels[m]:
             for line in kernel_m:
                 write(line)
         else:
@@ -392,108 +382,31 @@ def _section_header(lineno: int, line: str) -> tuple[str, int, int]:
         raise ParseError(f"line {lineno}: bad section index in {line!r}") from None
 
 
-class _DecompositionReader:
-    """A decomposition file read section by section from numbered content lines.
-
-    The preamble's n, m and mean are parsed as their lines arrive.  Each
-    section's records are parsed as they arrive, and the section is finished
-    once the next header has been read, or at the end.  Each kernel is checked
-    for degeneracy, and each component against the constant mean or its
-    kernel's lift as soon as both are in.  A component that passes is dropped,
-    and only its index is kept; one read before its kernel waits for it.  The
-    first fault met is raised and nothing further is read; missing sections
-    are reported at the end.  The result holds the kernels only: its
-    components are a `hoeffding._LiftedComponents` view that lifts them on
-    lookup.
-    """
-
-    def __init__(self) -> None:
-        self.kernels: dict[int, ModuleVector] = {}
-        self.components: set[int] = set()  # the indices of the components read
-        self.waiting: dict[int, tuple[int, ModuleVector]] = {}  # l -> header line, component
-        self.keys: dict[tuple[int, int], dict[str, int]] = {}
-
-    def read(self, lines: Iterator[tuple[int, str]]) -> HoeffdingDecomposition:
-        header = self._preamble(lines)
-        while header is not None:
-            kind, index, lineno = _section_header(*header)
-            # Only the key table of layer m is read again (by the components).
-            parser = _VectorParser(self.keys if kind == "component" or index == self.m else {})
-            parser.last = lineno  # so that an empty section names its header line
-            header = parser.read(lines, sections=True)
-            self._section(kind, index, lineno, parser.finish())
-        missing_k = [l for l in range(1, self.m + 1) if l not in self.kernels]
-        missing_c = [l for l in range(self.m + 1) if l not in self.components]
-        if missing_k or missing_c:
-            raise ParseError(
-                f"line 1: missing sections (kernels {missing_k}, components {missing_c})"
-            )
-        n, m, mean, kernels = self.n, self.m, self.mean, self.kernels
-        return HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(n, m, mean, kernels))
-
-    def _preamble(self, lines: Iterator[tuple[int, str]]) -> tuple[int, str] | None:
-        # n, m and the mean, each parsed as its line arrives; returns the line
-        # after them, the first header (None at the end).  A missing line is
-        # named by the line before it, or by the first header.
-        first = next(lines, None)
-        if first is None:
-            raise ParseError("line 1: empty decomposition file")
-        n_lineno = first[0]
-        if first[1].startswith("["):
-            raise ParseError(f"line {n_lineno}: missing 'n = ...' header")
-        n = _named_int(*first, "n")
-        lineno, line = _preamble_line(lines, n_lineno, "missing 'm = ...' header")
-        m = _named_int(lineno, line, "m")
-        if m < 1 or 2 * m > n:
-            raise ParseError(f"line {n_lineno}: invalid shape n={n}, m={m}")
-        lineno, line = _preamble_line(lines, lineno, "missing 'mean = ...' in preamble")
-        key, value = _split_assignment(lineno, line)
-        if key != "mean":
-            raise ParseError(f"line {lineno}: expected 'mean = ...', got {line!r}")
-        self.n, self.m, self.mean = n, m, Fraction(*_parse_pair(value, lineno))
-        following = next(lines, None)
-        if following is not None and not following[1].startswith("["):
-            lineno, line = following
-            raise ParseError(f"line {lineno}: unexpected content before first section: {line!r}")
-        return following
-
-    def _section(self, kind: str, index: int, lineno: int, vec: ModuleVector) -> None:
-        n, m = self.n, self.m
-        if vec.n != n:
-            raise ParseError(f"line {lineno}: section declares n={vec.n}, preamble has n={n}")
-        if kind == "kernel":
-            if not (1 <= index <= m) or vec.l != index:
-                raise ParseError(f"line {lineno}: kernel {index} must have l={index} in [1..{m}]")
-            if index in self.kernels:
-                raise ParseError(f"line {lineno}: duplicate kernel {index}")
-            if not is_completely_degenerate(vec):
-                raise ParseError(f"line {lineno}: kernel {index} is not completely degenerate")
-            self.kernels[index] = vec
-        else:
-            if not (0 <= index <= m) or vec.l != m:
-                raise ParseError(f"line {lineno}: component {index} must have l={m}, index in [0..{m}]")
-            if index in self.components:
-                raise ParseError(f"line {lineno}: duplicate component {index}")
-            self.components.add(index)
-            self.waiting[index] = lineno, vec
-        self._check(index)
-
-    def _check(self, l: int) -> None:
-        # Component l against the constant mean (l = 0) or its kernel's lift,
-        # once both are in; a component that passes is dropped.
-        if l not in self.waiting:
-            return
-        if l == 0:
-            want = ModuleVector.constant(self.n, self.m, self.mean)
-            fault = "component 0 must be the constant mean vector"
-        elif l in self.kernels:
-            want = u_statistic_lift(self.kernels[l], self.m)
-            fault = f"component {l} is not the U-statistic lift of kernel {l}"
-        else:
-            return
-        lineno, comp = self.waiting.pop(l)
-        if comp != want:
-            raise ParseError(f"line {lineno}: {fault}")
+def _preamble(lines: Iterator[tuple[int, str]]) -> tuple[int, int, Fraction, tuple[int, str] | None]:
+    # n, m and the mean, each parsed as its line arrives, and the line after
+    # them, the first header (None at the end).  A missing line is named by the
+    # line before it, or by the first header.
+    first = next(lines, None)
+    if first is None:
+        raise ParseError("line 1: empty decomposition file")
+    n_lineno = first[0]
+    if first[1].startswith("["):
+        raise ParseError(f"line {n_lineno}: missing 'n = ...' header")
+    n = _named_int(*first, "n")
+    lineno, line = _preamble_line(lines, n_lineno, "missing 'm = ...' header")
+    m = _named_int(lineno, line, "m")
+    if m < 1 or 2 * m > n:
+        raise ParseError(f"line {n_lineno}: invalid shape n={n}, m={m}")
+    lineno, line = _preamble_line(lines, lineno, "missing 'mean = ...' in preamble")
+    key, value = _split_assignment(lineno, line)
+    if key != "mean":
+        raise ParseError(f"line {lineno}: expected 'mean = ...', got {line!r}")
+    mean = Fraction(*_parse_pair(value, lineno))
+    following = next(lines, None)
+    if following is not None and not following[1].startswith("["):
+        lineno, line = following
+        raise ParseError(f"line {lineno}: unexpected content before first section: {line!r}")
+    return n, m, mean, following
 
 
 def _preamble_line(lines: Iterator[tuple[int, str]], lineno: int, missing: str) -> tuple[int, str]:
@@ -505,7 +418,59 @@ def _preamble_line(lines: Iterator[tuple[int, str]], lineno: int, missing: str) 
 
 
 def _read_decomposition(raw_lines: Iterable[str]) -> HoeffdingDecomposition:
-    return _DecompositionReader().read(_content_lines(raw_lines))
+    """A decomposition file read section by section from its lines.
+
+    The result is built right after the preamble, over the kernels dict that
+    fills as the file is read, so its components are a
+    `hoeffding._LiftedComponents` view.  Each kernel is checked for degeneracy
+    as it is read, and each component against that view as soon as it and its
+    kernel are in; one read before its kernel waits for it, and one that passes
+    is dropped, with only its index kept.  The first fault met is raised and
+    nothing further is read; missing sections are reported at the end.
+    """
+    lines = _content_lines(raw_lines)
+    n, m, mean, header = _preamble(lines)
+    kernels: dict[int, ModuleVector] = {}
+    dec = HoeffdingDecomposition(n, m, mean, kernels, _LiftedComponents(n, m, mean, kernels))
+    components: set[int] = set()  # the indices of the components read
+    waiting: dict[int, tuple[int, ModuleVector]] = {}  # l -> header line, component
+    keys: dict[tuple[int, int], dict[str, int]] = {}
+    while header is not None:
+        kind, index, lineno = _section_header(*header)
+        # Only the key table of layer m is read again (by the components).
+        shared = kind == "component" or index == m
+        vec, header = _read_vector(lines, lineno, keys if shared else {}, sections=True)
+        if vec.n != n:
+            raise ParseError(f"line {lineno}: section declares n={vec.n}, preamble has n={n}")
+        if kind == "kernel":
+            if not (1 <= index <= m) or vec.l != index:
+                raise ParseError(f"line {lineno}: kernel {index} must have l={index} in [1..{m}]")
+            if index in kernels:
+                raise ParseError(f"line {lineno}: duplicate kernel {index}")
+            if not is_completely_degenerate(vec):
+                raise ParseError(f"line {lineno}: kernel {index} is not completely degenerate")
+            kernels[index] = vec
+        else:
+            if not (0 <= index <= m) or vec.l != m:
+                raise ParseError(f"line {lineno}: component {index} must have l={m}, index in [0..{m}]")
+            if index in components:
+                raise ParseError(f"line {lineno}: duplicate component {index}")
+            components.add(index)
+            waiting[index] = lineno, vec
+        if index in waiting and (index == 0 or index in kernels):
+            lineno, comp = waiting.pop(index)
+            if comp != dec.components[index]:
+                fault = "must be the constant mean vector"
+                if index:
+                    fault = f"is not the U-statistic lift of kernel {index}"
+                raise ParseError(f"line {lineno}: component {index} {fault}")
+        # No section outlives its check while the next one is parsed.
+        vec = comp = None
+    missing_k = [l for l in range(1, m + 1) if l not in kernels]
+    missing_c = [l for l in range(m + 1) if l not in components]
+    if missing_k or missing_c:
+        raise ParseError(f"line 1: missing sections (kernels {missing_k}, components {missing_c})")
+    return dec
 
 
 def decomposition_from_text(text: str) -> HoeffdingDecomposition:

@@ -210,8 +210,7 @@ def _chain(h: ModuleVector, orders: range) -> Iterator[_Packed]:
     for a in range(1, hi + 1):
         v = _up(v, _face_columns(n, a))
         k = packed(a)
-        if k:
-            v = [x + k * y for x, y in zip(v, sums[a])]
+        v = [x + k * y for x, y in zip(v, sums[a])]
         yield _Packed(n, a, v, width, hi, half, scales)
 
 
@@ -311,9 +310,11 @@ class _LiftedComponents(Mapping):
     to order m is the identity), and component l in between is lane l of the
     packed top layer that `_chain` yields last (`_lane`), or, in a view that
     holds no packed layer (a loaded file's), `u_statistic_lift` of kernel l.
-    No component is kept, so a caller that reads one component at a time holds
-    one component at a time, and one that reads a component twice builds it
-    twice.
+    This is the one statement of what a valid component is: the file loader
+    builds this view over the kernels it has read and checks each component
+    block against the view's component.  No component is kept, so a caller that
+    reads one component at a time holds one component at a time, and one that
+    reads a component twice builds it twice.
     """
 
     def __init__(

@@ -31,7 +31,7 @@ from spechtstat import (
     save_module_vector,
     u_statistic_lift,
 )
-from spechtstat import fileformats
+from spechtstat import fileformats, hoeffding
 from spechtstat.fileformats import format_rational, parse_rational
 
 DATA = Path(__file__).parent / "data"
@@ -434,6 +434,18 @@ class TestDecompositionFormat:
         dec = load_decomposition(path)
         assert dec.components[3] is dec.kernels[3]
 
+    def test_component_m_that_is_an_equal_copy_writes_the_same_bytes(self, tmp_path):
+        # Kernel m's kept lines are written again only for kernel m itself; an
+        # equal copy is formatted afresh, to the same lines.
+        dec = decompose(random_module_vector(7, 3, 84))
+        kernel = dec.kernels[3]
+        copy = ModuleVector.from_numerators(7, 3, list(kernel.numerators), kernel.denominator)
+        assert copy == kernel and copy is not kernel
+        hand = HoeffdingDecomposition(7, 3, dec.mean, dec.kernels, {**dec.components, 3: copy})
+        save_decomposition(dec, tmp_path / "view.dec")
+        save_decomposition(hand, tmp_path / "copy.dec")
+        assert (tmp_path / "copy.dec").read_bytes() == (tmp_path / "view.dec").read_bytes()
+
     def test_mixed_unreduced_records_read_as_reduced_values(self):
         f = module_vector_from_text("n = 4\nl = 1\n1 = 2/4\n2 = 1/3\n3 = -6/4\n")
         assert f.values == (Fraction(1, 2), Fraction(1, 3), Fraction(-3, 2), 0)
@@ -671,6 +683,23 @@ class TestKernelsOnly:
                 assert got.components[l] == dec.components[l]
             assert got.reconstruction() == h
 
+    def test_each_component_is_checked_against_the_loaded_view(self, monkeypatch, tmp_path):
+        # The rule for a valid component lives in the view alone: the reader
+        # looks each component up there once, in file order, and returns that view.
+        path = tmp_path / "view.dec"
+        save_decomposition(decompose(random_module_vector(7, 3, 86)), path)
+        calls = []
+        getitem = hoeffding._LiftedComponents.__getitem__
+
+        def counted(view, l):
+            calls.append((view, l))
+            return getitem(view, l)
+
+        monkeypatch.setattr(hoeffding._LiftedComponents, "__getitem__", counted)
+        loaded = load_decomposition(path)
+        assert [l for _, l in calls] == [0, 1, 2, 3]
+        assert all(view is loaded.components for view, _ in calls)
+
     @pytest.mark.parametrize("name", ["decompose_n10_m5.dec", "decompose_n14_m3.dec"])
     def test_golden_file_saves_again_to_its_bytes(self, name, tmp_path):
         path = tmp_path / name
@@ -699,6 +728,12 @@ def _traced(call):
     return result, held, peak - held
 
 
+@pytest.fixture(scope="module")
+def wide_load(wide):
+    """One traced load of the wide file: the decomposition, the memory held and the transient peak."""
+    return _traced(lambda: load_decomposition(wide[1]))
+
+
 class TestStreamedMemory:
     """Neither end of a decomposition file holds its whole text, nor a table of
     its values as wide as the file."""
@@ -708,9 +743,9 @@ class TestStreamedMemory:
         _, held, transient = _traced(lambda: save_decomposition(dec, path))
         assert held + transient < path.stat().st_size
 
-    def test_load_transient_peak_is_below_three_file_sizes(self, wide):
+    def test_load_transient_peak_is_below_three_file_sizes(self, wide, wide_load):
         dec, path = wide
-        back, _, transient = _traced(lambda: load_decomposition(path))
+        back, _, transient = wide_load
         assert back == dec
         assert transient < 3 * path.stat().st_size
 
@@ -726,9 +761,9 @@ class TestStreamedMemory:
         assert back == dec
         assert transient < 0.5 * path.stat().st_size
 
-    def test_load_holds_less_than_half_the_file_size(self, wide):
+    def test_load_holds_less_than_half_the_file_size(self, wide, wide_load):
         dec, path = wide
-        back, held, _ = _traced(lambda: load_decomposition(path))
+        back, held, _ = wide_load
         assert back == dec
         assert held < 0.5 * path.stat().st_size
 
