@@ -6,20 +6,24 @@ route that shares no code with `hoeffding`:
   * `conditional_expectation`, the direct average of h over the completions
     of one partial assignment, subset by subset;
   * the double sum built on `CoefficientTable`, the fully spelled-out
-    projection expression over those conditional expectations;
+    projection expression over those conditional expectations, on integers
+    over one common denominator;
   * the n!-permutation `character_projection_oracle` (Diaconis 1988, ch. 8),
     with its caches and `clear_oracle_cache`;
-  * the order-1 fixed-point route and the shift suite's pair counts.
+  * the order-1 fixed-point route and the shift suite's pair counts;
+  * the literal neighbour sum of the Johnson graph J(n, m), whose theta_l
+    eigenspace is the order-l Hoeffding space (Delsarte 1973): the `verify`
+    suites certify their ranks with it, with no elimination.
 
-S_n is walked once per (n, m), by `_group_walk`.  For each permutation x it
-records x's cycle type, the position of x({1..m}) and the shift suite's pairs
-(x({1..m}), x(k_r)): m + 1 subset lookups, not C(n, m).  The oracle and the
-fixed-point route need, for every J and K, how many x of each cycle type send
-J onto K.  Conjugation gives these from the walk: if sigma_J sends J onto
-{1..m}, then sigma_J x sigma_J^-1 has x's cycle type and sends {1..m} to
-sigma_J K, so that count is the walk's count at x({1..m}) = sigma_J K.  The
-oracle refuses n above its `ceiling`, by default
-`combinatorics.DEFAULT_ORACLE_CEILING`.
+S_n is walked once per (n, m), by `_group_walk`, which reaches each
+permutation x by inserting point n into a permutation of S_{n-1}.  For each x
+it records x's cycle type, the position of x({1..m}) and the shift suite's
+pairs (x({1..m}), x(k_r)).  The oracle and the fixed-point route need, for
+every J and K, how many x of each cycle type send J onto K.  Conjugation gives
+these from the walk: if sigma_J sends J onto {1..m}, then sigma_J x sigma_J^-1
+has x's cycle type and sends {1..m} to sigma_J K, so that count is the walk's
+count at x({1..m}) = sigma_J K.  The oracle refuses n above its `ceiling`, by
+default `combinatorics.DEFAULT_ORACLE_CEILING`.
 
 This module imports only `algebra`, `characters`, `combinatorics` and
 `errors`; the `verify` suites compare its results with the kernel route's.
@@ -31,9 +35,9 @@ import itertools
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import ModuleVector
 from .characters import dimension, two_row_character
@@ -48,7 +52,6 @@ from .combinatorics import (
     enumerate_permutations,
     enumerate_subsets,
     subset_images,
-    subset_position,
 )
 from .errors import DomainError, ResourceLimitError
 
@@ -66,13 +69,18 @@ def conditional_expectation(h: ModuleVector, assigned: Subset) -> Fraction:
     a = len(assigned)
     if a > m:
         raise DomainError(f"assigned {assigned} has size {a} > m={m}")
-    taken = set(assigned)
-    complement = [j for j in range(1, n + 1) if j not in taken]
-    nums = h.numerators
-    total = 0
-    for extra in itertools.combinations(complement, m - a):
-        total += nums[subset_position(n, sorted(assigned + extra))]
-    return Fraction(total, h.denominator * comb(n - a, m - a))
+    return Fraction(_completion_sum(h, assigned), h.denominator * comb(n - a, m - a))
+
+
+def _completion_sum(h: ModuleVector, assigned: Subset) -> int:
+    # The sum of h's numerators over the m-subsets that contain `assigned`, a
+    # validated subset of at most m points: each completion is placed by its
+    # bitmask, the sum of the point bits 1 << (a-1).
+    n, m = h.n, h.l
+    taken = sum(1 << (a - 1) for a in assigned)
+    free = [1 << j for j in range(n) if not taken >> j & 1]
+    masks = map(taken.__add__, map(sum, itertools.combinations(free, m - len(assigned))))
+    return sum(map(h.numerators.__getitem__, map(_mask_index(n, m).__getitem__, masks)))
 
 
 class CoefficientTable:
@@ -129,43 +137,78 @@ class CoefficientTable:
 def _double_sum_values(f: ModuleVector, l: int) -> ModuleVector:
     # The fully spelled-out projection expression: at each m-subset, sum over
     # its l-subsets of the weighted centered conditional expectations.  Kept
-    # free of the kernel/lift plumbing on purpose.
+    # free of the kernel/lift plumbing on purpose.  It runs on integers over
+    # one common denominator: with S(A) the completion sum of A and D f's
+    # denominator, weight(l, a) * (cond(A) - mean) = (U[a] S(A) - V[a]) / (L D),
+    # where U[a] and V[a] are integers and L the least common denominator.
     n, m = f.n, f.l
     table = CoefficientTable(n, m)
-    mean = f.mean()
     scale = table.ratio(m, l)
-    cond: dict[tuple[int, ...], Fraction] = {}
+    mean = Fraction(sum(f.numerators), comb(n, m))  # over D
+    u = {a: table.weight(l, a) / comb(n - a, m - a) for a in range(1, l + 1)}
+    v = {a: table.weight(l, a) * mean for a in range(1, l + 1)}
+    common = lcm(*(c.denominator for c in (*u.values(), *v.values())))
+    U = {a: int(c * common) for a, c in u.items()}
+    V = {a: int(c * common) for a, c in v.items()}
+    cond: dict[tuple[int, ...], int] = {}
 
-    def centered(points: tuple[int, ...]) -> Fraction:
+    def centered(points: tuple[int, ...]) -> int:
         got = cond.get(points)
         if got is None:
-            got = conditional_expectation(f, points)
+            a = len(points)
+            got = U[a] * _completion_sum(f, points) - V[a]
             cond[points] = got
-        return got - mean
+        return got
 
     out = []
     for K in enumerate_subsets(n, m):
-        total = _ZERO
+        total = 0
         for J in itertools.combinations(K, l):
-            acc = _ZERO
             for a in range(1, l + 1):
-                w = table.weight(l, a)
                 for A in itertools.combinations(J, a):
-                    acc += w * centered(A)
-            total += acc
-        out.append(scale * total)
-    return ModuleVector(n, m, out)
+                    total += centered(A)
+        out.append(scale.numerator * total)
+    return ModuleVector.from_numerators(n, m, out, scale.denominator * common * f.denominator)
 
 
 class _Walk(NamedTuple):
     # What the one walk over S_n records for a shape (n, m); see `_group_walk`.
     rows: dict[CycleType, list[int]]
     pairs: list[Counter]
+    carried: list[list[int]]
+
+
+def _cycle_lengths(images: tuple[int, ...]) -> tuple[list[int], CycleType]:
+    # The length of the cycle through each point, and the cycle type.
+    length = [0] * len(images)
+    parts = []
+    for start in range(len(images)):
+        if not length[start]:
+            cycle = [start]
+            a = images[start] - 1
+            while a != start:
+                cycle.append(a)
+                a = images[a] - 1
+            for a in cycle:
+                length[a] = len(cycle)
+            parts.append(len(cycle))
+    parts.sort(reverse=True)
+    return length, tuple(parts)
+
+
+def _grown(ct: CycleType, n: int) -> list[CycleType]:
+    # Entry c is ct with one part c grown to c + 1 (the first such part, so the
+    # parts stay in decreasing order); entry 0 is ct with a new part 1.
+    out = [ct + (1,)] * n
+    for c in set(ct):
+        i = ct.index(c)
+        out[c] = ct[:i] + (c + 1,) + ct[i + 1 :]
+    return out
 
 
 @lru_cache(maxsize=1)
 def _group_walk(n: int, m: int) -> _Walk:
-    """The one literal walk over all n! permutations per (n, m), base = {1..m}.
+    """The one walk over all n! permutations per (n, m), base = {1..m}.
 
     For each permutation x it records x's cycle type, the position of x(base),
     and the shift suite's pairs (x(base), x(k_r)), k_r = {1..r, m+1..2m-r}:
@@ -173,31 +216,79 @@ def _group_walk(n: int, m: int) -> _Walk:
       * rows[ct][p] is the number of x of type ct with x(base) at position p;
       * pairs[r] is a Counter of the position pairs (B, K) with the number of x
         such that x(base) = B and x(k_r) = K.  k_m is base itself, so pairs[m]
-        is read from the rows.
+        is read from the rows;
+      * carried[j] lists the position of sigma_J(K) for every m-subset K, with
+        J the j-th m-subset and sigma_J its `_carrier`: what
+        `_transported_weights` reads, built once per shape.
 
-    Each image is found from the point bits 1 << (x(a)-1) of the first 2m
-    points: the mask of x(k_0) is the sum of the bits of m+1..2m, and each step
-    r -> r+1 trades the bit of 2m-r for the bit of r+1.  One int-keyed lookup
-    per image, m + 1 per permutation.  Every other count the references read
-    follows from the rows by conjugation (`_transported_weights`).  Held in an
-    LRU cache of fixed maxsize 1: the walk of one shape, the last one asked for.
+    Each x is reached once by insertion from sigma in S_{n-1}, point n fixed:
+    either x = sigma (n stays fixed, the cycle type gains a part 1), or n is
+    placed after i in i's cycle, so x(i) = n and x(n) = sigma(i) (the part
+    through i grows by one, a lookup in `_grown`).  Cycle types are thus
+    found once per sigma, not per x.  An image x(S) is a bitmask, the sum of
+    the point bits 1 << (x(a)-1) over a in S; inserting n after i adds
+    d = 2^(n-1) - 2^(sigma(i)-1) to it when i is in S and subtracts d when n
+    is, so of each tracked set (base and k_0..k_{m-1}, all within the first 2m
+    points) only m children move, each one int-keyed lookup.  The n children
+    of a sigma are counted with one `Counter.update`, and no list grows with
+    n!.  Every other count the references read follows from the rows by
+    conjugation.  Held in an LRU cache of fixed maxsize 1: the walk of one
+    shape, the last one asked for.
     """
     position = _mask_index(n, m).__getitem__
-    heads: Counter = Counter()
-    pairs = [Counter() for _ in range(m + 1)]
-    for x in enumerate_permutations(n, ceiling=None):
-        bits = [1 << (b - 1) for b in x.images[: 2 * m]]
-        bpos = position(sum(bits[:m]))
-        heads[x.cycle_type(), bpos] += 1
+    top = 1 << (n - 1)
+    # The tracked sets, 0-based: base, then k_0..k_{m-1}.  For each, the points
+    # i < n-1 whose insertion moves its image, with the sign of the move: +1
+    # for i in S; -1 for i outside S when n is in S (k_0 at 2m = n).
+    tracked = [range(m)] + [[*range(r), *range(m, 2 * m - r)] for r in range(m)]
+    moves = [
+        [(i, 1) for i in S] if n - 1 not in S
+        else [(i, -1) for i in range(n - 1) if i not in S]
+        for S in tracked
+    ]
+    # One Counter for the whole walk: (ct, B) keys count the rows, (r, B, K)
+    # keys the pairs of overlap r.
+    counts: Counter = Counter()
+    grown: dict[CycleType, list[CycleType]] = {}
+    overlaps = [itertools.repeat(r) for r in range(m)]
+    for sigma in enumerate_permutations(n - 1, ceiling=None):
+        length, ct = _cycle_lengths(sigma.images)
+        grow = grown.get(ct)
+        if grow is None:
+            grow = grown[ct] = _grown(ct, n)
+        bits = [1 << (b - 1) for b in (sigma.images + (n,))[: 2 * m]]
+        delta = [top - b for b in bits]
         mask = sum(bits[m:])
-        for r in range(m):
-            pairs[r][bpos, position(mask)] += 1
+        masks = [sum(bits[:m]), mask]
+        for r in range(m - 1):
             mask += bits[r] - bits[2 * m - 1 - r]
+            masks.append(mask)
+        # Child i < n-1 inserts n after point i + 1; child n-1 is sigma itself.
+        columns = []
+        for S_mask, S_moves in zip(masks, moves):
+            column = [position(S_mask)] * n
+            for i, sign in S_moves:
+                column[i] = position(S_mask + sign * delta[i])
+            columns.append(column)
+        length.append(0)
+        bpos = columns[0]
+        counts.update(
+            itertools.chain(
+                zip(map(grow.__getitem__, length), bpos),
+                *map(zip, overlaps, itertools.repeat(bpos), columns[1:]),
+            )
+        )
     rows: defaultdict[CycleType, list[int]] = defaultdict(lambda: [0] * comb(n, m))
-    for (ct, b), c in heads.items():
-        rows[ct][b] = c
-        pairs[m][b, b] += c
-    return _Walk(dict(rows), pairs)
+    pairs = [Counter() for _ in range(m + 1)]
+    for key, c in counts.items():
+        if len(key) == 3:
+            pairs[key[0]][key[1:]] = c
+        else:
+            ct, b = key
+            rows[ct][b] = c
+            pairs[m][b, b] += c
+    carried = [subset_images(_carrier(n, J), m) for J in enumerate_subsets(n, m)]
+    return _Walk(dict(rows), pairs, carried)
 
 
 def _carrier(n: int, J: Subset) -> Permutation:
@@ -220,18 +311,16 @@ def _transported_weights(
     base, then x -> sigma_J x sigma_J^-1 keeps the cycle type and sends x(J) = K
     to a permutation sending base to sigma_J K.  So the number of x of type ct
     with x(J) = K is `_group_walk`'s rows[ct] at the position of sigma_J K, and
-    one `subset_images(sigma_J, m)` per J carries the weighted row to column J.
+    the walk's `carried` images of sigma_J carry the weighted row to column J.
     The sums are still over all n! permutations, taken by the walk.
     """
+    walk = _group_walk(n, m)
     row = [0] * comb(n, m)
-    for ct, counts in _group_walk(n, m).rows.items():
+    for ct, counts in walk.rows.items():
         w = weight(ct)
         if w:
             row = [a + w * c for a, c in zip(row, counts)]
-    return [
-        list(map(row.__getitem__, subset_images(_carrier(n, J), m)))
-        for J in enumerate_subsets(n, m)
-    ]
+    return [list(map(row.__getitem__, images)) for images in walk.carried]
 
 
 @lru_cache(maxsize=8)
@@ -296,4 +385,54 @@ def _fixed_point_route(f: ModuleVector) -> ModuleVector:
     acc = [sum(map(mul, column, nums)) for column in columns]
     return ModuleVector.from_numerators(
         n, m, [(n - 1) * a for a in acc], factorial(n) * f.denominator
+    )
+
+
+def _neighbours(n: int, m: int) -> list[list[int]]:
+    # For each m-subset K in canonical order, the positions of its m(n-m)
+    # neighbours in J(n, m), the m-subsets sharing m - 1 points with K: K with
+    # one point swapped for one outside it, on bitmasks.
+    index = _mask_index(n, m)
+    bits = [1 << a for a in range(n)]
+    table = []
+    for mask in index:
+        inside = [b for b in bits if mask & b]
+        outside = [b for b in bits if not mask & b]
+        table.append([index[mask - a + b] for a in inside for b in outside])
+    return table
+
+
+def _johnson_eigenvectors(vectors: Sequence[ModuleVector], l: int) -> bool:
+    """True when A v = theta_l v for every v: A is the adjacency of the Johnson
+    graph J(n, m), and theta_l = (m - l)(n - m - l) - l its eigenvalue on the
+    order-l Hoeffding space.
+
+    The literal neighbour sum, (A v)(K) = the sum of v over the m(n-m)
+    neighbours of K, on the vectors' integer numerators, all vectors at once:
+    entry K of the i-th vector is the i-th signed lane of one int per K.  A
+    lane of either side is at most m(n-m) times the largest numerator in
+    absolute value, below half the lane's range, so no lane carries into the
+    next and the two ints are equal exactly when every lane is.  So the cost
+    is C(n, m) m(n-m) adds of wide ints, plus one pass to pack the entries.
+    Every vector has the shape (n, m) of the first.
+    """
+    if not vectors:
+        return True
+    n, m = vectors[0].n, vectors[0].l
+    for v in vectors:
+        if (v.n, v.l) != (n, m):
+            raise DomainError(f"shape mismatch: (n={v.n}, l={v.l}) vs (n={n}, l={m})")
+    theta = (m - l) * (n - m - l) - l  # strictly decreasing in l = 0..m
+    bound = m * (n - m) * max(max(map(abs, v.numerators)) for v in vectors)
+    width = (bound.bit_length() + 8) // 8  # bytes per lane: 2^(8 width - 1) > bound
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * len(vectors), "little")
+    packed = [
+        int.from_bytes(b"".join([(a + half).to_bytes(width, "little") for a in entries]), "little")
+        - offset
+        for entries in zip(*(v.numerators for v in vectors))
+    ]
+    return all(
+        sum(map(packed.__getitem__, row)) == theta * p
+        for row, p in zip(_neighbours(n, m), packed)
     )

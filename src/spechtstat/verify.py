@@ -7,13 +7,22 @@ deterministic, so identical configurations produce byte-identical output.
 
 The references the suites compare the kernel route with live apart from it,
 in `references`: the n!-permutation `character_projection_oracle`, the double
-sum built on `CoefficientTable`, the order-1 fixed-point route and the shift
-suite's pair counts.  S_n is walked once per (n, m), by `references._group_walk`:
-it records each permutation's cycle type, its image of {1..m} and the shift
-pairs, and conjugation moves those counts onto every other m-subset.  The
-suites that walk S_n refuse n above `RunConfig.brute_force_ceiling`, the
-oracle above its `ceiling`; both default to
-`combinatorics.DEFAULT_ORACLE_CEILING`.
+sum built on `CoefficientTable`, the order-1 fixed-point route, the shift
+suite's pair counts and the Johnson graph's neighbour sum.  S_n is walked once
+per (n, m), by `references._group_walk`: it records each permutation's cycle
+type, its image of {1..m} and the shift pairs, and conjugation moves those
+counts onto every other m-subset.  The suites that walk S_n refuse n above
+`RunConfig.brute_force_ceiling`, the oracle above its `ceiling`; both default
+to `combinatorics.DEFAULT_ORACLE_CEILING`.
+
+The rank checks of `equiv` and `specht` are decided by a certificate, with no
+elimination (`_spectral_ranks`, `_unitriangular`): the images of the
+indicators are Johnson eigenvectors that sum to each indicator, so each
+order's image is a spectral projector whose rank is its trace, and the
+standard polytabloids are unitriangular and completely degenerate, with lifts
+in the same eigenspace.  Where a certificate fails, it proves nothing, and
+`algebra.rank_of_span` ranks those vectors instead; it also ranks the order-1
+Specht basis on every run, as a cross-check of the certificate.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     ModuleVector,
@@ -45,6 +55,7 @@ from .references import (
     _double_sum_values,
     _fixed_point_route,
     _group_walk,
+    _johnson_eigenvectors,
     character_projection_oracle,
     clear_oracle_cache,
 )
@@ -260,13 +271,74 @@ def verify_decomposition(config: RunConfig) -> VerificationReport:
     return report
 
 
+class _Images(NamedTuple):
+    # The order-l images of every indicator, and the rank of each order's span.
+    vectors: tuple[tuple[ModuleVector, ...], ...]
+    ranks: tuple[int | Fraction, ...]
+    certified: bool  # ranks read from `_spectral_ranks`, not from elimination
+
+
 @lru_cache(maxsize=1)
-def _projection_images(n: int, m: int) -> tuple[tuple[ModuleVector, ...], ...]:
+def _projection_images(n: int, m: int) -> _Images:
     """For each order l, the order-l components of decompose(indicator(n, K)) over
-    every m-subset K in canonical order.  Shared by the equivalence and Specht
-    suites; only the last (n, m) is kept."""
+    every m-subset K in canonical order, with the rank of each order's span.
+
+    The ranks come from the certificate `_spectral_ranks` when it holds, and
+    from `rank_of_span` otherwise: a failed certificate says nothing about a
+    rank.  Shared by the equivalence and Specht suites; only the last (n, m)
+    is kept.
+    """
     comps = [list(decompose(indicator(n, K)).components.values()) for K in enumerate_subsets(n, m)]
-    return tuple(tuple(c[l] for c in comps) for l in range(m + 1))
+    vectors = tuple(tuple(c[l] for c in comps) for l in range(m + 1))
+    ranks = _spectral_ranks(vectors)
+    if ranks is not None:
+        return _Images(vectors, ranks, True)
+    return _Images(vectors, tuple(map(rank_of_span, vectors)), False)
+
+
+def _spectral_ranks(images: Sequence[Sequence[ModuleVector]]) -> tuple[Fraction, ...] | None:
+    """The rank of each order's images, by a certificate with no elimination, or
+    None when the certificate fails.
+
+    Let P_l send the indicator of the K-th m-subset to images[l][K], and let
+    E_l be the eigenspace of the Johnson graph J(n, m) for theta_l (Delsarte
+    1973).  The certificate holds when
+      * every image of order l satisfies A v = theta_l v, so P_l maps into E_l;
+      * the images of each indicator sum to it: the sum of the P_l is I.
+    The theta_l are distinct, so the E_l are independent, and any v in E_l is
+    the sum of its P_j v, one in each E_j: P_l v = v.  So P_l is the spectral
+    projector onto E_l, an idempotent, and its rank is its trace, the sum over
+    K of images[l][K] at K.
+    """
+    m = len(images) - 1
+    n = images[0][0].n
+    for K, parts in zip(enumerate_subsets(n, m), zip(*images)):
+        if sum(parts[1:], parts[0]) != indicator(n, K):
+            return None
+    if not all(_johnson_eigenvectors(images[l], l) for l in range(m + 1)):
+        return None
+    return tuple(
+        sum((Fraction(v.numerators[K], v.denominator) for K, v in enumerate(vs)), _ZERO)
+        for vs in images
+    )
+
+
+def _unitriangular(vectors: Sequence[ModuleVector]) -> bool:
+    """True when each vector's last nonzero entry is 1 and lies after the previous
+    vector's: echelon form with unit pivots, so the vectors are independent.
+
+    The polytabloid of a standard tableau has entry 1 at its bottom row, and
+    every other subset in its support swaps some bottom-row points for smaller
+    ones, so it comes earlier in the canonical order (James 1978, §8).
+    """
+    last = -1
+    for v in vectors:
+        nums = v.numerators
+        pivot = max((i for i, a in enumerate(nums) if a), default=-1)
+        if pivot <= last or nums[pivot] != v.denominator:
+            return False
+        last = pivot
+    return True
 
 
 def verify_equivalence(config: RunConfig) -> VerificationReport:
@@ -310,7 +382,7 @@ def verify_equivalence(config: RunConfig) -> VerificationReport:
 
     images = _projection_images(n, m)
     for l in range(m + 1):
-        rank = rank_of_span(images[l])
+        rank = images.ranks[l]
         report.record(
             f"projection_image_rank_l{l}",
             rank == dimension(n, l),
@@ -393,8 +465,11 @@ def verify_specht(config: RunConfig) -> VerificationReport:
     report.record("polytabloid_four_term_example", polytabloid(t0) == expected)
 
     bases = {l: specht_basis(n, l) for l in range(1, m + 1)}
+    triangular = {l: _unitriangular(basis) for l, basis in bases.items()}
     for l, basis in bases.items():
-        rank = rank_of_span(basis)
+        # A unitriangular basis is independent.  At l = 1 elimination still
+        # ranks the basis, so a certificate that claimed too much fails there.
+        rank = len(basis) if triangular[l] and l > 1 else rank_of_span(basis)
         report.record(
             f"specht_basis_rank_l{l}",
             len(basis) == dimension(n, l) and rank == dimension(n, l),
@@ -420,9 +495,22 @@ def verify_specht(config: RunConfig) -> VerificationReport:
     images = _projection_images(n, m)
     for l in range(1, m + 1):
         lifted = [u_statistic_lift(v, m) for v in bases[l]]
-        image = list(images[l])
+        # The certificate: the basis is independent (unitriangular) and
+        # completely degenerate, so its lift is independent too, as the up pass
+        # U and down pass D give D U^k phi = k(n - 2l - k + 1) U^(k-1) phi, with
+        # a nonzero factor for every k <= m - l.  The lifted vectors lie in
+        # E_l, which the images span (`_spectral_ranks`), so the ranks follow.
+        if (
+            images.certified
+            and triangular[l]
+            and all(map(is_completely_degenerate, bases[l]))
+            and _johnson_eigenvectors(lifted, l)
+        ):
+            ranks = (len(lifted), images.ranks[l], images.ranks[l])
+        else:
+            image = list(images.vectors[l])
+            ranks = (rank_of_span(lifted), images.ranks[l], rank_of_span(lifted + image))
         want = dimension(n, l)
-        ranks = (rank_of_span(lifted), rank_of_span(image), rank_of_span(lifted + image))
         report.record(
             f"lifted_specht_equals_projection_image_l{l}",
             ranks == (want, want, want),

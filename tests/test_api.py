@@ -69,6 +69,7 @@ REFERENCES = [
     "CoefficientTable", "character_projection_oracle", "clear_oracle_cache",
     "conditional_expectation", "_double_sum_values", "_group_walk", "_carrier",
     "_transported_weights", "_projection_weights", "_fixed_point_route",
+    "_johnson_eigenvectors",
 ]
 
 

@@ -4,26 +4,39 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from oracles import fixed_point_walk, orbit_counts_from_tables, shift_pairs_from_tables
+from oracles import (
+    fixed_point_walk,
+    naive_down,
+    naive_up,
+    orbit_counts_from_tables,
+    shift_pairs_from_tables,
+)
 
 import spechtstat
 from spechtstat import (
     DomainError,
     HoeffdingDecomposition,
+    ModuleVector,
     Permutation,
     ResourceLimitError,
     RunConfig,
     bench,
     character_projection_oracle,
+    dimension,
+    enumerate_subsets,
     indicator,
+    is_completely_degenerate,
     module_vector_to_text,
     random_module_vector,
+    rank_of_span,
     run_suites,
+    specht_basis,
     two_row_character,
+    u_statistic_lift,
 )
 from spechtstat import references, verify
 from spechtstat.references import clear_oracle_cache
@@ -39,6 +52,9 @@ from spechtstat.verify import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "verify_all_n7_m3_trials2_seed1.txt"
+
+#: Every shape (n, m) with n <= 8, the oracle's default ceiling.
+SHAPES_TO_8 = [(n, m) for n in range(2, 9) for m in range(1, n // 2 + 1)]
 
 
 def _fix_less_one(ct: tuple[int, ...]) -> int:
@@ -205,6 +221,11 @@ class TestPerturbedComponent:
             "projection_image_rank_l1",
         }
 
+    def test_specht_suite_fails(self):
+        # The order-1 images fail the certificate, so elimination ranks them.
+        report = verify_specht(RunConfig(n=6, m=2, seed=5, trials=2))
+        assert self.failed(report) == {"lifted_specht_equals_projection_image_l1"}
+
     def test_failure_detail_shows_the_input_text(self):
         # The input is formatted only when a check fails, as the file writer does.
         report = verify_equivalence(RunConfig(n=6, m=2, seed=5, trials=2))
@@ -255,15 +276,19 @@ class TestReferenceWalks:
         f = random_module_vector(n, m, 10 * n + m)
         assert references._fixed_point_route(f) == fixed_point_walk(f)
 
-    @pytest.mark.parametrize("n, m", [(6, 2), (7, 3), (8, 4)])
+    @pytest.mark.parametrize("n, m", SHAPES_TO_8)
     def test_shift_pair_counts_equal_the_full_table_counts(self, n, m):
         assert references._group_walk(n, m).pairs == shift_pairs_from_tables(n, m)
 
-    @pytest.mark.parametrize(
-        "n, m", [(n, m) for n in range(2, 8) for m in range(1, n // 2 + 1)] + [(8, 3), (8, 4)]
-    )
+    @pytest.mark.parametrize("n, m", SHAPES_TO_8)
     def test_transported_weights_equal_the_full_table_counts(self, n, m):
+        # The walk inserts point n into each permutation of S_{n-1}; its rows,
+        # read at J = {1..m}, are the full tables' counts and sum to n!, m = 1
+        # and 2m = n (point n among the tracked points 1..2m) included.
         counts = orbit_counts_from_tables(n, m)
+        rows = references._group_walk(n, m).rows
+        assert rows == {ct: [c[p, 0] for p in range(comb(n, m))] for ct, c in counts.items()}
+        assert sum(map(sum, rows.values())) == factorial(n)
         for l in range(m + 1):
             chi = partial(two_row_character, n, l)
             assert references._projection_weights(n, m, l) == _weighted(counts, chi, comb(n, m))
@@ -287,7 +312,8 @@ class TestReferenceWalks:
 
     def test_all_suites_walk_the_group_once(self, monkeypatch):
         # One walk records what the oracle, the fixed-point route and the shift
-        # suite read.
+        # suite read.  It reaches S_6 by inserting point 6 into each element of
+        # S_5, so the one enumeration is of S_5.
         clear_oracle_cache()
         walks = []
         real = references.enumerate_permutations
@@ -295,7 +321,7 @@ class TestReferenceWalks:
             references, "enumerate_permutations", lambda *a, **k: walks.append(a) or real(*a, **k)
         )
         assert all(r.ok for r in run_suites(RunConfig(n=6, m=3, seed=2, trials=2), "all"))
-        assert walks == [(6,)]
+        assert walks == [(5,)]
 
     def test_interleaved_shapes_give_their_first_projections(self):
         shapes = [(5, 2), (6, 3), (7, 2), (6, 1)]
@@ -310,6 +336,127 @@ class TestReferenceWalks:
             assert [character_projection_oracle(f, l) for l in range(f.l + 1)] == first[shape]
             assert references._fixed_point_route(f) == first[shape][1]
             assert references._group_walk.cache_info().currsize == 1
+
+
+def _bumped(v, index: int):
+    """v with the entry at canonical position `index` raised by one."""
+    nums = list(v.numerators)
+    nums[index] += v.denominator
+    return ModuleVector.from_numerators(v.n, v.l, nums, v.denominator)
+
+
+class TestRankCertificate:
+    """The Johnson-scheme certificate behind the rank checks, against elimination,
+    and each of its checks against one entry moved."""
+
+    @pytest.mark.parametrize("n, m", SHAPES_TO_8)
+    def test_certified_ranks_equal_elimination(self, n, m):
+        images = verify._projection_images(n, m)
+        assert images.certified
+        dims = tuple(dimension(n, l) for l in range(m + 1))
+        assert images.ranks == tuple(map(rank_of_span, images.vectors)) == dims
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_standard_bases_are_unitriangular_of_full_rank(self, n):
+        for l in range(1, n // 2 + 1):
+            basis = specht_basis(n, l)
+            assert verify._unitriangular(basis)
+            assert rank_of_span(basis) == len(basis) == dimension(n, l)
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (7, 3), (8, 4)])
+    def test_the_up_passes_are_injective_on_the_standard_bases(self, n, m):
+        # D U^k phi = k(n - 2l - k + 1) U^(k-1) phi for completely degenerate
+        # phi of order l, with a positive factor for k <= m - l: the fact that
+        # makes the lifted basis as independent as the basis.
+        for l in range(1, m + 1):
+            for phi in specht_basis(n, l):
+                below = list(phi.numerators)
+                for k in range(1, m - l + 1):
+                    above = naive_up(below, n, l + k)
+                    factor = k * (n - 2 * l - k + 1)
+                    assert factor > 0
+                    assert naive_down(above, n, l + k) == [factor * a for a in below]
+                    below = above
+
+    def test_the_suites_eliminate_only_the_order_one_basis(self, monkeypatch):
+        verify._projection_images.cache_clear()
+        ranked = []
+        real = verify.rank_of_span
+        monkeypatch.setattr(verify, "rank_of_span", lambda vs: ranked.append(vs) or real(vs))
+        assert all(r.ok for r in run_suites(RunConfig(n=7, m=3, seed=1, trials=1), "all"))
+        assert ranked == [specht_basis(7, 1)]
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (7, 3)])
+    def test_an_image_vector_moved_in_one_entry_fails(self, n, m):
+        images = verify._projection_images(n, m).vectors
+        assert verify._spectral_ranks(images) is not None
+        for l in range(m + 1):
+            for K in (0, len(images[l]) - 1):
+                bad = [list(vs) for vs in images]
+                bad[l][K] = _bumped(bad[l][K], K)
+                assert not references._johnson_eigenvectors(bad[l], l)
+                assert all(references._johnson_eigenvectors(bad[j], j) for j in range(m + 1) if j != l)
+                assert verify._spectral_ranks(bad) is None
+                # The entry at K is on the trace, which now misses dim(n, l).
+                assert sum(v[s] for v, s in zip(bad[l], enumerate_subsets(n, m))) != dimension(n, l)
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (7, 3)])
+    def test_no_lane_carries_into_the_next(self, n, m):
+        # Lanes -2^k u and u cancel in the packed int whenever a lane is k bits
+        # wide, so at any scale k a lane too narrow would pass u, which is no
+        # eigenvector of any order.
+        u = random_module_vector(n, m, 3)
+        for k in range(1, 70):
+            for l in range(m + 1):
+                assert not references._johnson_eigenvectors([-(2**k) * u, u], l)
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (7, 3)])
+    def test_an_image_vector_doubled_fails_the_sum_to_the_indicator(self, n, m):
+        # Still an eigenvector, so only the sum over the orders sees it.
+        images = verify._projection_images(n, m).vectors
+        bad = [list(vs) for vs in images]
+        bad[1][2] = 2 * bad[1][2]
+        assert all(references._johnson_eigenvectors(bad[l], l) for l in range(m + 1))
+        assert verify._spectral_ranks(bad) is None
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (7, 3)])
+    def test_a_lifted_vector_moved_in_one_entry_fails(self, n, m):
+        for l in range(1, m + 1):
+            lifted = [u_statistic_lift(v, m) for v in specht_basis(n, l)]
+            assert references._johnson_eigenvectors(lifted, l)
+            for i in (0, len(lifted) - 1):
+                for index in (0, comb(n, m) - 1):
+                    bad = lifted[:i] + [_bumped(lifted[i], index)] + lifted[i + 1 :]
+                    assert not references._johnson_eigenvectors(bad, l)
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (7, 3)])
+    def test_a_polytabloid_moved_in_one_entry_fails(self, n, m):
+        for l in range(1, m + 1):
+            basis = list(specht_basis(n, l))
+            assert verify._unitriangular(basis)
+            assert all(map(is_completely_degenerate, basis))
+            for i, v in enumerate(basis):
+                support = [p for p, a in enumerate(v.numerators) if a]
+                for index in (support[0], support[-1], v.numerators.index(0)):
+                    bad = basis[:i] + [_bumped(v, index)] + basis[i + 1 :]
+                    assert not is_completely_degenerate(bad[i])
+                    if index == support[-1]:  # the pivot, 1, becomes 2
+                        assert not verify._unitriangular(bad)
+
+    def test_the_specht_suite_eliminates_a_basis_off_the_certificate(self, monkeypatch):
+        # Each pivot raised to 2: still independent, so the basis ranks pass by
+        # elimination, but the lifts leave the projection image.
+        real = verify.specht_basis
+
+        def bumped_basis(n, l):
+            return tuple(_bumped(v, max(p for p, a in enumerate(v.numerators) if a))
+                         for v in real(n, l))
+
+        monkeypatch.setattr(verify, "specht_basis", bumped_basis)
+        report = verify_specht(RunConfig(n=7, m=3, seed=1, trials=1))
+        assert {c.name for c in report.checks if not c.passed} == {
+            f"lifted_specht_equals_projection_image_l{l}" for l in (1, 2, 3)
+        }
 
 
 class TestGoldenOutput:
